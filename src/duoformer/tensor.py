@@ -9,9 +9,36 @@ backward calls keep accumulating until ``zero_grad``.
 All operations are stable on finite inputs (softmax subtracts the max,
 normalizations carry an epsilon); non-finite values are the caller's signal
 of a genuine numeric failure and can be checked with ``assert_finite``.
+
+Inside ``with no_grad():`` ops record no graph, so a forward-only pass keeps
+no activations alive.
+
+Each op keeps only what its backward reads and builds no parameter- or
+activation-sized scratch it can avoid:
+
+* ``matmul(a, b, bias=)`` keeps its operands. The bias is added in place
+  into the product, so ``linear`` is one graph node. For a 2-D weight under
+  a batched input, the weight gradient is summed one matrix product at a
+  time into one weight-sized buffer instead of a ``[batch, k, n]`` stack.
+* ``gelu`` keeps its input and ``tanh(u)``. Forward and backward run chunk
+  by chunk (``flat_chunks``), so their temporaries are chunk-sized.
+* ``index`` keeps its input and the index. Backward adds into the slice of
+  the parent's gradient (``np.add.at`` for advanced indices, so repeated
+  indices accumulate) instead of a zero buffer the size of the parent.
+* A tensor's first gradient is a copy of the incoming one, not zeros plus
+  an add; an op that computed a fresh gradient (``_accum(owned=True)``)
+  hands it over without the copy. A gradient whose dtype differs from the
+  tensor's is a ContractError.
+
+These rewrites give bit-identical results to their plain forms, op by op:
+the same numpy operations on the same values in the same order. Where
+several consumers add gradients into one tensor, the order of those adds
+follows the backward walk of the graph.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -72,10 +99,20 @@ class Tensor:
 
     # ---- gradient machinery --------------------------------------------------
 
-    def _accum(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accum(self, g: np.ndarray, owned: bool = False):
+        """Add ``g`` into ``self.grad``.
+
+        ``owned`` hands ``g`` over: a fresh array nothing else holds, kept as
+        the first gradient when it is laid out like ``self.data``.
+        """
+        _check_grad_dtype(self, g)
+        if self.grad is not None:
+            self.grad += g
+        elif owned and g.shape == self.data.shape and g.strides == self.data.strides:
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def zero_grad(self):
         self.grad = None
@@ -158,12 +195,27 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops run inside this context record no graph: no output requires grad."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _from_op(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -177,6 +229,26 @@ def _from_op(data: np.ndarray, parents, backward) -> Tensor:
 def _check_same_dtype(a: Tensor, b: Tensor, op: str):
     if a.data.dtype != b.data.dtype:
         raise ContractError(f"{op}: dtype mismatch {a.data.dtype.name} vs {b.data.dtype.name}")
+
+
+_CHUNK = 1 << 16  # elements per chunk of a chunked elementwise pass
+
+
+def flat_chunks(*arrays):
+    """Matching views of same-shape arrays, ``_CHUNK`` flat elements at a time,
+    so an elementwise pass keeps its temporaries chunk-sized. Arrays that are
+    not all C-contiguous come back whole, as one chunk."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        yield arrays
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    for lo in range(0, flat[0].size, _CHUNK):
+        yield tuple(f[lo:lo + _CHUNK] for f in flat)
+
+
+def _check_grad_dtype(t: Tensor, g: np.ndarray):
+    if g.dtype != t.data.dtype:
+        raise ContractError(f"gradient dtype {g.dtype.name} != tensor dtype {t.data.dtype.name}")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -245,30 +317,55 @@ def scale(a: Tensor, c: float) -> Tensor:
 # ---- contractions ---------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading axes broadcast, last two contract."""
+def matmul(a: Tensor, b: Tensor, bias: "Tensor | None" = None) -> Tensor:
+    """Batched matrix product; leading axes broadcast, last two contract.
+
+    ``bias`` (broadcast over the product) is added in place, in the same
+    graph node.
+    """
     _check_same_dtype(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     out_data = np.matmul(a.data, b.data)
+    if bias is not None:
+        _check_same_dtype(a, bias, "matmul bias")
+        if np.broadcast_shapes(out_data.shape, bias.shape) != out_data.shape:
+            raise DimensionError(f"bias shape {bias.shape} does not broadcast to {out_data.shape}")
+        out_data += bias.data
 
     def bw(g):
+        if bias is not None and bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
         if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+                     owned=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            if b.ndim == 2 and a.ndim > 2:
+                b._accum(_weight_grad(a.data, g), owned=True)
+            else:
+                b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
-    return _from_op(out_data, (a, b), bw)
+    return _from_op(out_data, (a, b, bias), bw)
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_i a[i].T @ g[i] over the leading index i, accumulated in order:
+    the values of summing the [*lead, k, n] product stack over its leading
+    axes, without building the stack."""
+    lead = np.ndindex(a.shape[:-2])
+    first = next(lead)
+    acc = np.matmul(a[first].T, g[first])
+    tmp = np.empty_like(acc)
+    for i in lead:
+        acc += np.matmul(a[i].T, g[i], out=tmp)
+    return acc
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: x @ w (+ b)."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+    """Affine map over the last axis: x @ w (+ b), one graph node."""
+    return matmul(x, w, bias=b)
 
 
 # ---- shape manipulation ----------------------------------------------------------
@@ -324,16 +421,29 @@ def concat(parts, axis: int) -> Tensor:
     return _from_op(out_data, tuple(parts), bw)
 
 
+def _is_advanced(idx) -> bool:
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return any(isinstance(i, (list, np.ndarray)) for i in items)
+
+
 def index(a: Tensor, idx) -> Tensor:
-    """Basic (slice/int) indexing; gradient scatters back into a zero buffer."""
+    """Basic or advanced indexing; gradient adds into the slice of ``a.grad``.
+
+    Repeated advanced indices accumulate one gradient per occurrence.
+    """
     out_data = a.data[idx]
     if not isinstance(out_data, np.ndarray):
         out_data = np.asarray(out_data)
+    advanced = _is_advanced(idx)
 
     def bw(g):
-        buf = np.zeros_like(a.data)
-        buf[idx] += g
-        a._accum(buf)
+        _check_grad_dtype(a, g)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        if advanced:
+            np.add.at(a.grad, idx, g)
+        else:
+            a.grad[idx] += g
 
     return _from_op(out_data.copy(), (a,), bw)
 
@@ -387,15 +497,42 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU; the backward differentiates the approximation."""
+    """tanh-approximated GELU; the backward differentiates the approximation.
+
+    Evaluates 0.5 * x * (1 + tanh(C * (x + A * x**3))) in place, chunk by
+    chunk; keeps x and tanh(...).
+    """
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x ** 3)
-    t = np.tanh(u)
-    out_data = 0.5 * x * (1.0 + t)
+    t = np.empty_like(x)
+    out_data = np.empty_like(x)
+    for xc, tc, oc in flat_chunks(x, t, out_data):
+        np.power(xc, 3, out=tc)
+        tc *= _GELU_A
+        tc += xc
+        tc *= _GELU_C
+        np.tanh(tc, out=tc)
+        np.multiply(0.5, xc, out=oc)
+        oc *= 1.0 + tc
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-        a._accum(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du))
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * du),
+        # du = C * (1 + 3 * A * x**2)
+        r = np.empty_like(x)
+        for xc, tc, gc, rc in flat_chunks(x, t, g, r):
+            du = np.square(xc)
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C
+            s = np.square(tc)
+            np.subtract(1.0, s, out=s)
+            np.multiply(0.5, xc, out=rc)
+            rc *= s
+            rc *= du
+            np.add(1.0, tc, out=s)
+            s *= 0.5
+            rc += s
+            rc *= gc
+        a._accum(r, owned=True)
 
     return _from_op(out_data, (a,), bw)
 

@@ -37,7 +37,11 @@ def adam_init(params) -> dict:
 
 def adam_step(params, grads, state: dict, lr: float, betas=(0.9, 0.999),
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place; no weight decay."""
+    """One bias-corrected Adam update, in place; no weight decay.
+
+    The plain elementwise formula, applied chunk by chunk (``T.flat_chunks``)
+    so no temporary is parameter-sized.
+    """
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
@@ -46,15 +50,14 @@ def adam_step(params, grads, state: dict, lr: float, betas=(0.9, 0.999),
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ContractError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        m = state["m"][i]
-        v = state["v"][i]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype, copy=False)
+        for pc, m, v, gc in T.flat_chunks(p.data, state["m"][i], state["v"][i], g):
+            m *= b1
+            m += (1 - b1) * gc
+            v *= b2
+            v += (1 - b2) * gc * gc
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            pc -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(pc.dtype, copy=False)
 
 
 # ---- schedule ---------------------------------------------------------------------
@@ -180,9 +183,10 @@ def predict(model: DuoFormer, images: "np.ndarray | None", batch_size: int = 64,
     was_training = model.training
     model.eval()
     preds = []
-    for i in range(0, n, batch_size):
-        logits = _batch_forward(model, images, pyramid, np.arange(i, min(i + batch_size, n)))
-        preds.append(np.argmax(logits.data, axis=1))
+    with T.no_grad():
+        for i in range(0, n, batch_size):
+            logits = _batch_forward(model, images, pyramid, np.arange(i, min(i + batch_size, n)))
+            preds.append(np.argmax(logits.data, axis=1))
     if was_training:
         model.train()
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
@@ -254,10 +258,11 @@ def train(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch {b // cfg.batch_size}")
                 loss.backward()
+                losses.append(float(loss.data))
+                del logits, loss  # free the graph before Adam runs
                 lr = onecycle_lr(global_step, total_steps, cfg)
                 adam_step(params, [p.grad for p in params], state, lr,
                           betas=cfg.betas)
-                losses.append(float(loss.data))
                 global_step += 1
 
             if pyramid is not None:

@@ -41,11 +41,10 @@ def main(argv=None) -> int:
 
     model = DuoFormer(cfg)
     model.eval()  # BN in batch-stats mode would leak chunk boundaries
-    np_dtype = np.float64 if cfg.dtype == "f64" else np.float32
 
     chunks = {i: [] for i in model.stage_indices}
     for lo in range(0, len(images), args.batch_size):
-        batch = Tensor(images[lo:lo + args.batch_size].astype(np_dtype))
+        batch = Tensor(images[lo:lo + args.batch_size], dtype=cfg.dtype)
         pyr = model.backbone(batch, stages=model.stage_indices)
         for idx, feat in pyr.stages:
             chunks[idx].append(feat.data)

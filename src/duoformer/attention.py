@@ -21,10 +21,6 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import LayerNorm, Linear, Module
 from .tensor import Tensor
-from .tokenizer import MultiScaleTokens
-
-READOUTS = ("scale_token_patch_attn", "first_token", "avg_tokens", "scale_attn_only_fc")
-ATTENTION_MODES = ("duo", "scale_only", "patch_only")
 
 
 class MSA(Module):
@@ -104,18 +100,6 @@ class DuoLayer(Module):
 
     def forward(self, x):  # a lone layer acts as its scale block
         return self.scale_block(x)
-
-
-def scale_attention_block(layer: DuoLayer, tokens: MultiScaleTokens) -> MultiScaleTokens:
-    """Scale block over a token bundle; requires the scale token at index 0."""
-    if not tokens.has_scale_token:
-        raise ContractError("scale attention block expects a scale token at index 0")
-    return MultiScaleTokens(tokens=layer.scale_block(tokens.tokens),
-                            scale_layout=tokens.scale_layout, has_scale_token=True)
-
-
-def patch_attention(layer: DuoLayer, scale_tokens: Tensor) -> Tensor:
-    return layer.patch_attention(scale_tokens)
 
 
 class DuoEncoder(Module):

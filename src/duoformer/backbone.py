@@ -60,6 +60,14 @@ class FeaturePyramid:
     def batch(self) -> int:
         return self.stages[0][1].shape[0]
 
+    def __len__(self) -> int:
+        return self.batch
+
+    def __getitem__(self, idx) -> "FeaturePyramid":
+        """Sub-pyramid of the samples `idx` selects (an index array copies them)."""
+        return FeaturePyramid([(i, Tensor(feat.data[idx])) for i, feat in self.stages],
+                              input_size=self.input_size)
+
     @property
     def stage_indices(self) -> "tuple[int, ...]":
         return tuple(i for i, _ in self.stages)
@@ -131,10 +139,6 @@ class ToyBackbone(Module):
             if i in stages:
                 out.append((i, x.transpose((0, 2, 3, 1))))
         return FeaturePyramid(out, input_size=h)
-
-
-def toy_backbone_forward(images: Tensor, channels, stream, stages=(0, 1, 2, 3)) -> FeaturePyramid:
-    return ToyBackbone(channels, stream)(images, stages=stages)
 
 
 def save_pyramid(path, pyramid: FeaturePyramid) -> None:

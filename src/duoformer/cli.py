@@ -38,7 +38,6 @@ from .gradcheck import grad_check_report
 from .model import DuoFormer, load_checkpoint
 from .serialize import load_tensor, save_tensor
 from .tensor import Tensor
-from .tokenizer import tokenize
 from .trainer import evaluate, train
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -91,18 +90,12 @@ def cmd_tokenize(args) -> int:
         raise ConfigError("tokenize needs the multi-scale path; "
                           "attention_mode=patch_only has none")
     model = DuoFormer(model_cfg).eval()
-    np_dtype = np.float64 if model_cfg.dtype == "f64" else np.float32
     if args.image is not None:
         arr = load_tensor(args.image)
-        if arr.ndim == 3:
-            arr = arr[None]
-        pyramid = model.backbone(Tensor(arr.astype(np_dtype)),
-                                 stages=model.stage_indices)
+        x = Tensor(arr[None] if arr.ndim == 3 else arr, dtype=model_cfg.dtype)
     else:
-        pyramid = model.pyramid_from(None, load_pyramid(args.pyramid))
-    projected = [(i, model.proj.as_dict()[i](pyramid.stage(i)))
-                 for i in model.stage_indices]
-    mst = tokenize(projected, model_cfg.patch_count, model_cfg.input_size)
+        x = load_pyramid(args.pyramid)
+    mst = model.tokens(model.pyramid_from(x))
     tokens = mst.tokens.data
     if tokens.shape[0] == 1:
         tokens = tokens[0]  # single image -> [S, N, D]
@@ -125,15 +118,12 @@ def cmd_train(args) -> int:
     images, labels = load_dataset(args.data)
     _check_geometry(images, labels, model_cfg.input_size, model_cfg.num_classes)
     model = DuoFormer(model_cfg)
-    pyramid = None
-    if args.pyramid is not None:
-        pyramid = load_pyramid(args.pyramid)
-        images = None  # features precomputed; backbone stays frozen
+    # precomputed features bypass the backbone, which then stays frozen
+    inputs = images if args.pyramid is None else load_pyramid(args.pyramid)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.txt"), "w") as f:
         f.write(serialize_config(model_cfg, train_cfg))
-    rec = train(model, images, labels, train_cfg, out_dir=args.out,
-                log=_log, pyramid=pyramid)
+    rec = train(model, inputs, labels, train_cfg, out_dir=args.out, log=_log)
     print(f"best val balanced accuracy: {rec.best_val:.4f} (epoch {rec.best_epoch})")
     print(f"test balanced accuracy: {rec.test_balanced_acc:.4f}")
     return 0

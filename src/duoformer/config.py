@@ -8,14 +8,14 @@ round-trips up to comment stripping and key order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .tensor import DTYPES
 
 SCALE_TOKEN_MODES = ("fused", "learnable", "none")
 READOUTS = ("scale_token_patch_attn", "first_token", "avg_tokens", "scale_attn_only_fc")
 ATTENTION_MODES = ("duo", "scale_only", "patch_only")
-DTYPES = ("f32", "f64")
 
 # (attention_mode, readout, scale_token_mode) triples that make structural sense
 VALID_COMBOS = {
@@ -57,8 +57,9 @@ class DuoFormerConfig:
         stages = tuple(sorted(set(self.stages)))
         if not stages or any(s not in (0, 1, 2, 3) for s in stages):
             raise ConfigError(f"stages must be a non-empty subset of {{0,1,2,3}}, got {self.stages}")
-        for s in stages:
-            tokens_per_patch(self.input_size, self.patch_count, s)  # raises naming the stage
+        # P' per stage (raises naming the stage); the deepest one anchors the patch grid
+        pps = [tokens_per_patch(self.input_size, self.patch_count, s) for s in stages]
+        deepest, deepest_pp = stages[-1], pps[-1]
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
@@ -69,7 +70,7 @@ class DuoFormerConfig:
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.dtype not in DTYPES:
-            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
+            raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
         if self.scale_token_mode not in SCALE_TOKEN_MODES:
             raise ConfigError(f"scale_token_mode must be one of {SCALE_TOKEN_MODES}, "
                               f"got {self.scale_token_mode!r}")
@@ -78,25 +79,20 @@ class DuoFormerConfig:
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigError(f"attention_mode must be one of {ATTENTION_MODES}, "
                               f"got {self.attention_mode!r}")
-        if self.scale_token_mode == "fused":
-            deepest = max(stages)
-            pp = tokens_per_patch(self.input_size, self.patch_count, deepest)
-            if pp != 1:
-                raise ConfigError(
-                    f"fused scale token anchors its identity path on the patch grid: "
-                    f"deepest stage {deepest} has P'={pp}, need P'=1")
+        if self.scale_token_mode == "fused" and deepest_pp != 1:
+            raise ConfigError(
+                f"fused scale token anchors its identity path on the patch grid: "
+                f"deepest stage {deepest} has P'={deepest_pp}, need P'=1")
         combo = (self.attention_mode, self.readout, self.scale_token_mode)
         if combo not in VALID_COMBOS:
             raise ConfigError(
                 f"unsupported combination attention_mode={combo[0]}, readout={combo[1]}, "
                 f"scale_token_mode={combo[2]}; valid: {sorted(VALID_COMBOS)}")
         if self.attention_mode == "patch_only":
-            deepest = max(stages)
-            if tokens_per_patch(self.input_size, self.patch_count, deepest) != 1:
+            if deepest_pp != 1:
                 raise ConfigError(
                     f"patch_only needs the deepest stage on the patch grid "
-                    f"(P'={tokens_per_patch(self.input_size, self.patch_count, deepest)} "
-                    f"at stage {deepest}; require P'=1)")
+                    f"(P'={deepest_pp} at stage {deepest}; require P'=1)")
             if self.patch_only_layers is not None and self.patch_only_layers < 1:
                 raise ConfigError(f"patch_only_layers must be >= 1, got {self.patch_only_layers}")
         return self
@@ -231,8 +227,3 @@ def serialize_config(model_cfg: DuoFormerConfig, train_cfg: TrainConfig) -> str:
     for name in _TRAIN_FIELDS:
         lines.append(f"{name} = {_format_value(getattr(train_cfg, name))}")
     return "\n".join(lines) + "\n"
-
-
-def config_summary(model_cfg: DuoFormerConfig) -> str:
-    d = asdict(model_cfg)
-    return ", ".join(f"{k}={v}" for k, v in d.items())

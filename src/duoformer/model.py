@@ -17,20 +17,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 from . import serialize
 from .backbone import FeaturePyramid, ToyBackbone
 from .attention import DuoEncoder, PatchEncoder
 from .config import DuoFormerConfig, TrainConfig, parse_config, serialize_config
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, FormatError
 from .layers import Linear, Module
 from .rng import SeedStream
 from .scale_token import FusedScaleToken, LearnableScaleToken, attach_scale_token
-from .tensor import Tensor
-from .tokenizer import scale_layout, tokenize
-
-_DTYPES = {"f32": np.float32, "f64": np.float64}
+from .tensor import DTYPES, Tensor
+from .tokenizer import MultiScaleTokens, scale_layout, tokenize
 
 
 class _Projections(Module):
@@ -44,16 +40,13 @@ class _Projections(Module):
                     Linear(channels[i], embed_dim, stream.child(f"stage{i}").generator(),
                            dtype=dtype))
 
-    def as_dict(self):
-        return {i: getattr(self, f"stage{i}") for i in self.stage_indices}
-
 
 class DuoFormer(Module):
     def __init__(self, cfg: DuoFormerConfig):
         super().__init__()
         cfg.validate()
         object.__setattr__(self, "cfg", cfg)
-        dtype = _DTYPES[cfg.dtype]
+        dtype = DTYPES[cfg.dtype]
         stream = SeedStream(cfg.seed)
         stages = tuple(sorted(set(cfg.stages)))
         object.__setattr__(self, "stage_indices", stages)
@@ -94,11 +87,10 @@ class DuoFormer(Module):
 
     # ---- forward ----------------------------------------------------------------
 
-    def pyramid_from(self, images: "Tensor | None", pyramid: "FeaturePyramid | None"):
-        if (images is None) == (pyramid is None):
-            raise ContractError("provide exactly one of images or pyramid")
-        if pyramid is None:
-            return self.backbone(images, stages=self.stage_indices)
+    def pyramid_from(self, x: "Tensor | FeaturePyramid") -> FeaturePyramid:
+        """The backbone's pyramid of images `x`, or pyramid `x`, checked against the config."""
+        pyramid = x if isinstance(x, FeaturePyramid) else self.backbone(
+            x, stages=self.stage_indices)
         if pyramid.input_size != self.cfg.input_size:
             raise ConfigError(f"pyramid input_size {pyramid.input_size} != configured "
                               f"{self.cfg.input_size}")
@@ -107,23 +99,25 @@ class DuoFormer(Module):
             raise ConfigError(f"pyramid lacks configured stages {missing}")
         return pyramid
 
-    def forward(self, images: "Tensor | None" = None,
-                pyramid: "FeaturePyramid | None" = None) -> Tensor:
+    def tokens(self, pyramid: FeaturePyramid) -> MultiScaleTokens:
+        """Projected and tokenized stages, without a scale token."""
+        projected = [(i, getattr(self.proj, f"stage{i}")(pyramid.stage(i)))
+                     for i in self.stage_indices]
+        return tokenize(projected, self.cfg.patch_count, self.cfg.input_size)
+
+    def forward(self, x: "Tensor | FeaturePyramid") -> Tensor:
+        """x: images [B, H, W, 3], or a FeaturePyramid that bypasses the backbone."""
         cfg = self.cfg
-        pyramid = self.pyramid_from(images, pyramid)
+        pyramid = self.pyramid_from(x)
         if cfg.attention_mode == "patch_only":
             deepest = max(self.stage_indices)
-            feat = self.proj.as_dict()[deepest](pyramid.stage(deepest))  # [B, g, g, D]
+            feat = getattr(self.proj, f"stage{deepest}")(pyramid.stage(deepest))  # [B, g, g, D]
             b, g, _, d = feat.shape
             x = self.encoder(feat.reshape((b, g * g, d)))
         else:
-            projected = [(i, self.proj.as_dict()[i](pyramid.stage(i)))
-                         for i in self.stage_indices]
-            mst = tokenize(projected, cfg.patch_count, cfg.input_size)
-            if cfg.scale_token_mode == "fused":
+            mst = self.tokens(pyramid)
+            if cfg.scale_token_mode != "none":
                 mst = attach_scale_token(mst, self.scale_token(pyramid))
-            elif cfg.scale_token_mode == "learnable":
-                mst = attach_scale_token(mst, self.scale_token(batch=pyramid.batch))
             x = self.encoder(mst.tokens)
         return self.head(x.mean(axis=1))  # [B, N, D] -> [B, D] -> logits
 

@@ -22,8 +22,6 @@ from .rng import trunc_normal
 from .tensor import Tensor
 from .tokenizer import MultiScaleTokens, patch_grid, tokens_per_patch
 
-SCALE_TOKEN_MODES = ("fused", "learnable", "none")
-
 
 def downsample_plan(ratio: int, stage: int) -> "tuple[bool, int]":
     """(use_conv, pool_factor) turning a P'=ratio map into the patch grid."""
@@ -99,7 +97,7 @@ class FusedScaleToken(Module):
 
 
 class LearnableScaleToken(Module):
-    """Free [N, D] parameter broadcast over the batch; ignores the pyramid."""
+    """Free [N, D] parameter broadcast over the pyramid's batch."""
 
     def __init__(self, n_patches: int, embed_dim: int, stream, dtype=np.float32):
         super().__init__()
@@ -107,15 +105,9 @@ class LearnableScaleToken(Module):
         self.token = Tensor(trunc_normal(rng, (n_patches, embed_dim), std=0.02, dtype=dtype),
                             requires_grad=True)
 
-    def forward(self, pyramid=None, batch: int = 1) -> Tensor:
+    def forward(self, pyramid: FeaturePyramid) -> Tensor:
         n, d = self.token.shape
-        if pyramid is not None:
-            batch = pyramid.batch
-        return T.broadcast_to(self.token.reshape((1, n, d)), (batch, n, d))
-
-
-def build_scale_token(pyramid: FeaturePyramid, module: FusedScaleToken) -> Tensor:
-    return module(pyramid)
+        return T.broadcast_to(self.token.reshape((1, n, d)), (pyramid.batch, n, d))
 
 
 def attach_scale_token(tokens: MultiScaleTokens, scale_token: "Tensor | None") -> MultiScaleTokens:

@@ -15,6 +15,7 @@ the format at exactly three dtypes.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from collections import OrderedDict
 
@@ -56,10 +57,18 @@ def read_dft1(f) -> np.ndarray:
         raise FormatError(f"unknown dtype code {code}")
     dtype = _CODE_DTYPES[code]
     shape = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, "extents"))
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = _read_exact(f, count * dtype.itemsize, "payload")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-    return arr
+    nbytes = math.prod(shape) * dtype.itemsize  # Python ints: a hostile header cannot wrap
+    pos = f.tell()
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    if nbytes > left:
+        raise FormatError(f"truncated file: extents {shape} need {nbytes} payload bytes, "
+                          f"{left} remain")
+    payload = _read_exact(f, nbytes, "payload")
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    except ValueError as e:  # e.g. a zero extent beside one numpy cannot index
+        raise FormatError(f"extents {shape}: {e}") from e
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
@@ -133,4 +142,7 @@ def array_to_text(arr: np.ndarray) -> str:
     vals = arr.astype(np.int64)
     if vals.size and (vals.min() < 0 or vals.max() > 255):
         raise FormatError("text entry holds values outside byte range")
-    return vals.astype(np.uint8).tobytes().decode("utf-8")
+    try:
+        return vals.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError("text entry is not valid UTF-8") from e

@@ -40,14 +40,15 @@ def adam_step(params, grads, state: dict, lr: float, betas=(0.9, 0.999),
     """One bias-corrected Adam update, in place; no weight decay.
 
     The plain elementwise formula, applied chunk by chunk (``T.flat_chunks``)
-    so no temporary is parameter-sized.
+    so no temporary is parameter-sized. A parameter whose grad is None is
+    skipped, as PyTorch's Adam does.
     """
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
-            g = np.zeros_like(p.data)
+            continue  # no gradient reached p (e.g. a frozen backbone): p, m, v stay as they are
         if g.shape != p.data.shape:
             raise ContractError(f"grad shape {g.shape} != param shape {p.data.shape}")
         for pc, m, v, gc in T.flat_chunks(p.data, state["m"][i], state["v"][i], g):
@@ -158,43 +159,34 @@ class RunRecord:
 # ---- loop --------------------------------------------------------------------------
 
 
-def slice_pyramid(pyramid: FeaturePyramid, idx) -> FeaturePyramid:
-    """Sub-pyramid for the given sample indices (features copied, not viewed)."""
-    return FeaturePyramid([(i, Tensor(feat.data[idx])) for i, feat in pyramid.stages],
-                          input_size=pyramid.input_size)
+def _model_input(batch):
+    """An images batch becomes a Tensor; a FeaturePyramid batch goes in as it is."""
+    return batch if isinstance(batch, FeaturePyramid) else Tensor(batch)
 
 
-def _batch_forward(model, images, pyramid, idx):
-    if pyramid is not None:
-        return model(pyramid=slice_pyramid(pyramid, idx))
-    return model(Tensor(images[idx]))
-
-
-def predict(model: DuoFormer, images: "np.ndarray | None", batch_size: int = 64,
-            pyramid: "FeaturePyramid | None" = None) -> np.ndarray:
+def predict(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid",
+            batch_size: int = 64) -> np.ndarray:
     """Eval-mode argmax predictions, batched.
 
-    Exactly one of `images` / `pyramid` supplies the inputs; a pyramid
-    covers the samples along its batch axis (precomputed, frozen features).
+    inputs: images [n, H, W, 3], or a FeaturePyramid of precomputed
+    features for n samples (indexed along its batch axis).
     """
-    if (images is None) == (pyramid is None):
-        raise ContractError("provide exactly one of images or pyramid")
-    n = pyramid.batch if pyramid is not None else len(images)
+    n = len(inputs)
     was_training = model.training
     model.eval()
     preds = []
     with T.no_grad():
         for i in range(0, n, batch_size):
-            logits = _batch_forward(model, images, pyramid, np.arange(i, min(i + batch_size, n)))
+            logits = model(_model_input(inputs[np.arange(i, min(i + batch_size, n))]))
             preds.append(np.argmax(logits.data, axis=1))
     if was_training:
         model.train()
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
 
-def evaluate(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
-             batch_size: int = 64, pyramid: "FeaturePyramid | None" = None) -> dict:
-    preds = predict(model, images, batch_size, pyramid=pyramid)
+def evaluate(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.ndarray,
+             batch_size: int = 64) -> dict:
+    preds = predict(model, inputs, batch_size)
     k = model.cfg.num_classes
     return {
         "balanced_accuracy": balanced_accuracy(preds, labels, k),
@@ -203,31 +195,32 @@ def evaluate(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
     }
 
 
-def train(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
-          cfg: TrainConfig, out_dir: "str | None" = None, splits=None, log=None,
-          pyramid: "FeaturePyramid | None" = None) -> RunRecord:
+def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.ndarray,
+          cfg: TrainConfig, out_dir: "str | None" = None, splits=None, log=None) -> RunRecord:
     """Run the full protocol; returns the record with test metrics filled in.
+
+    inputs: images [n, H, W, 3], or a FeaturePyramid of precomputed
+    features for all n samples; training then bypasses (and never updates)
+    the backbone.
 
     splits: optional (train_idx, val_idx, test_idx); when omitted, a
     stratified split seeded by cfg.seed is used. Caller owns disjointness
     when passing explicit splits.
-
-    pyramid: precomputed features for the whole dataset; training then
-    bypasses (and never updates) the backbone.
     """
     cfg.validate()
-    if (images is None) == (pyramid is None):
-        raise ContractError("provide exactly one of images or pyramid")
-    if pyramid is not None and pyramid.batch != len(labels):
-        raise ContractError(f"pyramid batch {pyramid.batch} != {len(labels)} labels")
+    if len(inputs) != len(labels):
+        raise ContractError(f"input batch {len(inputs)} != {len(labels)} labels")
     if splits is None:
         splits = split_dataset(labels, cfg.val_fraction, cfg.test_fraction, cfg.seed)
     train_idx, val_idx, test_idx = (np.asarray(s) for s in splits)
+    if len(train_idx) < 2:
+        raise ContractError(f"training split has {len(train_idx)} samples; "
+                            "train-mode BN needs at least 2")
 
     params = model.parameters()
     state = adam_init(params)
-    steps_per_epoch = max(1, math.ceil(len(train_idx) / cfg.batch_size))
-    total_steps = cfg.max_epochs * steps_per_epoch
+    n = len(train_idx)  # a size-1 remainder batch is skipped, so it takes no step
+    total_steps = cfg.max_epochs * (n // cfg.batch_size + (n % cfg.batch_size > 1))
     shuffle_stream = SeedStream(cfg.seed).child("shuffle")
 
     record = RunRecord()
@@ -252,7 +245,7 @@ def train(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
                 if len(batch) == 1:
                     continue  # train-mode BN cannot normalize a single sample
                 model.zero_grad()
-                logits = _batch_forward(model, images, pyramid, batch)
+                logits = model(_model_input(inputs[batch]))
                 loss = T.cross_entropy(logits, labels[batch])
                 if not np.isfinite(loss.data):
                     raise NumericError(
@@ -265,11 +258,7 @@ def train(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
                           betas=cfg.betas)
                 global_step += 1
 
-            if pyramid is not None:
-                val_preds = predict(model, None, cfg.batch_size,
-                                    pyramid=slice_pyramid(pyramid, val_idx))
-            else:
-                val_preds = predict(model, images[val_idx], cfg.batch_size)
+            val_preds = predict(model, inputs[val_idx], cfg.batch_size)
             val_bacc = balanced_accuracy(val_preds, labels[val_idx], model.cfg.num_classes)
             rec = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)),
                               val_balanced_acc=val_bacc, lr=lr,
@@ -299,11 +288,7 @@ def train(model: DuoFormer, images: "np.ndarray | None", labels: np.ndarray,
         save_checkpoint(os.path.join(out_dir, "last.dfc"), model, cfg)
     if best_state is not None:
         model.load_state_dict(best_state)
-    if pyramid is not None:
-        test_metrics = evaluate(model, None, labels[test_idx], cfg.batch_size,
-                                pyramid=slice_pyramid(pyramid, test_idx))
-    else:
-        test_metrics = evaluate(model, images[test_idx], labels[test_idx], cfg.batch_size)
+    test_metrics = evaluate(model, inputs[test_idx], labels[test_idx], cfg.batch_size)
     record.test_balanced_acc = test_metrics["balanced_accuracy"]
     record.test_acc = test_metrics["accuracy"]
     record.test_per_class_recall = test_metrics["per_class_recall"]

@@ -2,13 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from duoformer.attention import (MSA, DuoEncoder, DuoLayer, PatchEncoder, patch_attention,
-                                 scale_attention_block)
+from duoformer.attention import MSA, DuoEncoder, DuoLayer, PatchEncoder
 from duoformer.errors import ConfigError, ContractError, DimensionError
 from duoformer.rng import SeedStream
-from duoformer.scale_token import attach_scale_token
 from duoformer.tensor import Tensor
-from duoformer.tokenizer import MultiScaleTokens
 from oracles import attention_pairs
 
 
@@ -27,12 +24,6 @@ def _oracle_weights(m):
     return dict(wq=w[:, :d], wk=w[:, d:2 * d], wv=w[:, 2 * d:],
                 bq=b[:d], bk=b[d:2 * d], bv=b[2 * d:],
                 wo=m.proj.w.data, bo=m.proj.b.data, n_heads=m.heads)
-
-
-def _scale_tokens(b, s, n, d, seed=0, dtype=np.float32):
-    x = np.random.default_rng(seed).standard_normal((b, s, n, d)).astype(dtype)
-    layout = [(3, 1, s)]  # geometry irrelevant to the attention math
-    return MultiScaleTokens(tokens=Tensor(x), scale_layout=layout, has_scale_token=False)
 
 
 # ---- MSA --------------------------------------------------------------------
@@ -160,16 +151,6 @@ def test_scale_block_no_cross_patch_flow():
     assert np.abs(base[:, :, 2] - pert[:, :, 2]).max() > 0
 
 
-def test_scale_attention_block_requires_token():
-    layer = _randomized_layer(4, 2)
-    toks = _scale_tokens(1, 3, 2, 4, dtype=np.float64)
-    with pytest.raises(ContractError, match="scale token"):
-        scale_attention_block(layer, toks)
-    ok = attach_scale_token(toks, Tensor(np.zeros((1, 2, 4), dtype=np.float64)))
-    out = scale_attention_block(layer, ok)
-    assert out.tokens.shape == (1, 4, 2, 4) and out.has_scale_token
-
-
 def test_scale_block_grad_check():
     from duoformer.gradcheck import grad_check_report
     layer = _randomized_layer(4, 2, seed=3)
@@ -199,7 +180,7 @@ def test_patch_attention_has_no_residual():
 def test_patch_attention_matches_oracle_49x32():
     layer = _randomized_layer(32, 4, seed=4)
     x = np.random.default_rng(11).standard_normal((2, 49, 32))
-    out = patch_attention(layer, Tensor(x)).data
+    out = layer.patch_attention(Tensor(x)).data
     kw = _oracle_weights(layer.patch)
     for i in range(2):
         npt.assert_allclose(out[i], attention_pairs(x[i], **kw), atol=1e-10)

@@ -107,6 +107,19 @@ def test_pyramid_stage_lookup():
         pyr.stage(3)
 
 
+def test_pyramid_len_and_index_select_samples():
+    rng = np.random.default_rng(0)
+    pyr = FeaturePyramid([(0, Tensor(rng.random((3, 8, 8, 2)))),
+                          (1, Tensor(rng.random((3, 4, 4, 3))))], input_size=32)
+    assert len(pyr) == 3
+    sub = pyr[np.array([2, 0])]
+    assert len(sub) == 2 and sub.stage_indices == (0, 1) and sub.input_size == 32
+    for (_, full), (_, part) in zip(pyr.stages, sub.stages):
+        npt.assert_array_equal(part.data, full.data[[2, 0]])
+    sub.stage(0).data[...] = -1.0  # a copy: the source pyramid is unchanged
+    assert pyr.stage(0).data.min() >= 0.0
+
+
 # ---- gradients ------------------------------------------------------------------
 
 

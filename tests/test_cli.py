@@ -103,6 +103,39 @@ def test_tokenize_rejects_patch_only(tmp_path, toy_cfg, capsys):
                      "--out", str(tmp_path / "t.dft")]) == 2
 
 
+def test_tokenize_pyramid_matches_image(tmp_path, toy_cfg):
+    from duoformer.backbone import save_pyramid
+    from duoformer.config import parse_config
+    from duoformer.model import DuoFormer
+    from duoformer.tensor import Tensor
+
+    image = np.random.default_rng(1).random((32, 32, 3)).astype(np.float32)
+    img, pyr = tmp_path / "img.dft", tmp_path / "pyr.dfc"
+    save_tensor(img, image)
+    model = DuoFormer(parse_config(TOY_CFG)[0]).eval()
+    save_pyramid(pyr, model.backbone(Tensor(image[None]), stages=model.stage_indices))
+    for flag, path, out in (("--image", img, "a.dft"), ("--pyramid", pyr, "b.dft")):
+        assert cli.main(["tokenize", "--config", toy_cfg, flag, str(path),
+                         "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a.dft").read_bytes() == (tmp_path / "b.dft").read_bytes()
+    assert ((tmp_path / "a.dft.layout.txt").read_text()
+            == (tmp_path / "b.dft.layout.txt").read_text())
+
+
+def test_tokenize_pyramid_wrong_input_size_exits_2(tmp_path, toy_cfg, capsys):
+    from duoformer.backbone import FeaturePyramid, save_pyramid
+    from duoformer.tensor import Tensor
+
+    # a valid 64 px pyramid for the toy's stages and widths; the toy expects 32 px
+    feats = [(i, Tensor(np.zeros((1, 16 >> i, 16 >> i, c), dtype=np.float32)))
+             for i, c in zip((0, 1, 2), (4, 8, 16))]
+    pyr = tmp_path / "pyr64.dfc"
+    save_pyramid(pyr, FeaturePyramid(feats, input_size=64))
+    assert cli.main(["tokenize", "--config", toy_cfg, "--pyramid", str(pyr),
+                     "--out", str(tmp_path / "t.dft")]) == 2
+    assert "input_size" in capsys.readouterr().err
+
+
 # ---- train / eval ------------------------------------------------------------------
 
 
@@ -173,11 +206,34 @@ def test_train_from_pyramid(tmp_path, toy_cfg, dataset):
     assert (run / "best.dfc").exists()
 
 
+def test_export_pyramid_script_feeds_train(tmp_path, toy_cfg, dataset):
+    import importlib.util
+
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "export_pyramid.py")
+    spec = importlib.util.spec_from_file_location("export_pyramid", script)
+    export = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(export)
+    pyr = tmp_path / "pyr.dfc"
+    assert export.main(["--config", toy_cfg, "--data", dataset, "--out", str(pyr),
+                        "--batch-size", "16"]) == 0
+    assert cli.main(["train", "--config", toy_cfg, "--data", dataset,
+                     "--out", str(tmp_path / "run"), "--pyramid", str(pyr)]) == 0
+
+
 def test_eval_corrupted_magic_exits_3(tmp_path, dataset, capsys):
     bad = tmp_path / "bad.dfc"
     bad.write_bytes(b"XXXX" + b"\x00" * 64)
     assert cli.main(["eval", "--checkpoint", str(bad), "--data", dataset]) == 3
     assert "magic" in capsys.readouterr().err
+
+
+def test_eval_non_utf8_config_exits_3(tmp_path, dataset, capsys):
+    from duoformer.serialize import save_tensors
+
+    bad = tmp_path / "bad.dfc"
+    save_tensors(bad, {"config": np.array([0x41, 0xFF, 0xFE], dtype=np.int64)})
+    assert cli.main(["eval", "--checkpoint", str(bad), "--data", dataset]) == 3
+    assert "UTF-8" in capsys.readouterr().err
 
 
 # ---- gradcheck ---------------------------------------------------------------------

@@ -117,17 +117,7 @@ def test_pyramid_path_matches_image_path():
     m = _model()
     x = _images()
     pyr = m.backbone(x, stages=m.stage_indices)
-    npt.assert_array_equal(m(x).data, m(pyramid=pyr).data)
-
-
-def test_forward_requires_exactly_one_input():
-    m = _model()
-    with pytest.raises(ContractError, match="exactly one"):
-        m()
-    x = _images()
-    pyr = m.backbone(x, stages=m.stage_indices)
-    with pytest.raises(ContractError, match="exactly one"):
-        m(x, pyramid=pyr)
+    npt.assert_array_equal(m(x).data, m(pyr).data)
 
 
 def test_pyramid_size_mismatch_rejected():
@@ -136,14 +126,14 @@ def test_pyramid_size_mismatch_rejected():
     big = DuoFormer(_cfg(input_size=64, stages=(0, 1, 2, 3))).eval()
     pyr = big.backbone(_images(h=64), stages=big.stage_indices)
     with pytest.raises(ConfigError, match="input_size"):
-        m(pyramid=pyr)
+        m(pyr)
 
 
 def test_pyramid_missing_stage_rejected():
     m = _model(stages=(0, 1, 2))
     pyr = m.backbone(_images(), stages=(1, 2))
     with pytest.raises(ConfigError, match="stages \\[0\\]"):
-        m(pyramid=pyr)
+        m(pyr)
 
 
 def test_train_and_eval_disagree_through_bn():

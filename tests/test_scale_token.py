@@ -134,7 +134,7 @@ def test_gradient_reaches_every_stage():
 
 def test_learnable_token_shape_and_broadcast():
     lt = LearnableScaleToken(49, 4, SeedStream(0).child("lt"))
-    out = lt(batch=3)
+    out = lt(_pyramid(224, (3,), batch=3))
     assert out.shape == (3, 49, 4)
     npt.assert_array_equal(out.data[0], out.data[1])
     npt.assert_array_equal(out.data[0], lt.token.data)
@@ -142,13 +142,13 @@ def test_learnable_token_shape_and_broadcast():
 
 def test_learnable_token_follows_pyramid_batch():
     lt = LearnableScaleToken(49, 4, SeedStream(0).child("lt"))
-    out = lt(pyramid=_pyramid(224, (3,), batch=2))
+    out = lt(_pyramid(224, (3,), batch=2))
     assert out.shape == (2, 49, 4)
 
 
 def test_learnable_token_gradient_accumulates_over_batch():
     lt = LearnableScaleToken(4, 2, SeedStream(0).child("lt"))
-    lt(batch=3).sum().backward()
+    lt(_pyramid(224, (3,), batch=3)).sum().backward()
     npt.assert_allclose(lt.token.grad, np.full((4, 2), 3.0), atol=1e-12)
 
 

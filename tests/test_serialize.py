@@ -131,6 +131,25 @@ def test_truncated_payload():
         ser.tensor_from_bytes(good[:-3])
 
 
+@pytest.mark.parametrize("data", [
+    # f32, rank 2, extents (2**32, 2**32): the element count wraps to 0 in int64
+    b"DFT1\x00\x02" b"\x00\x00\x00\x00\x01\x00\x00\x00" b"\x00\x00\x00\x00\x01\x00\x00\x00",
+    # f32, rank 2, extents (2**63, 2)
+    b"DFT1\x00\x02" b"\x00\x00\x00\x00\x00\x00\x00\x80" b"\x02\x00\x00\x00\x00\x00\x00\x00",
+    # f32, rank 2, extents (0, 2**63): no payload, but an extent numpy cannot hold
+    b"DFT1\x00\x02" b"\x00\x00\x00\x00\x00\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\x00\x80",
+])
+def test_hostile_extents_raise_format_error(data):
+    with pytest.raises(FormatError):
+        ser.tensor_from_bytes(data)
+
+
+def test_extents_checked_against_bytes_left():
+    header = ser.tensor_to_bytes(np.zeros((3, 2), np.float64))[:22]
+    with pytest.raises(FormatError, match="48 payload bytes, 0 remain"):
+        ser.tensor_from_bytes(header)
+
+
 def test_trailing_bytes_rejected():
     good = ser.tensor_to_bytes(np.zeros(2, np.float32))
     with pytest.raises(FormatError, match="trailing"):
@@ -177,3 +196,8 @@ def test_text_entry_round_trip():
 def test_text_entry_rejects_out_of_range():
     with pytest.raises(FormatError):
         ser.array_to_text(np.array([65, 300], dtype=np.int64))
+
+
+def test_text_entry_rejects_non_utf8():
+    with pytest.raises(FormatError, match="UTF-8"):
+        ser.array_to_text(np.array([0x41, 0xFF, 0xFE], dtype=np.int64))

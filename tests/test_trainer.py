@@ -43,6 +43,17 @@ def test_none_grad_treated_as_zero():
     npt.assert_array_equal(p.data, np.array([3.0]))
 
 
+def test_none_grad_leaves_param_and_moments_untouched():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    state = adam_init([p])
+    adam_step([p], [np.array([0.5, 0.3])], state, lr=0.1)
+    before = [p.data.copy(), state["m"][0].copy(), state["v"][0].copy()]
+    assert np.all(before[1] != 0) and np.all(before[2] != 0)
+    adam_step([p], [None], state, lr=0.1)
+    for got, want in zip([p.data, state["m"][0], state["v"][0]], before):
+        npt.assert_array_equal(got, want)
+
+
 def test_five_step_quadratic_matches_scalar_oracle():
     p = Tensor(np.array(1.0), requires_grad=True)
     state = adam_init([p])
@@ -348,7 +359,7 @@ def test_train_from_pyramid_freezes_backbone():
     pyr = _full_pyramid(model, images)
     before = {k: v.copy() for k, v in model.state_dict().items()}
     cfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, max_lr=1e-3, seed=0)
-    rec = train(model, None, labels, cfg, pyramid=pyr)
+    rec = train(model, pyr, labels, cfg)
     assert len(rec.epochs) == 2 and np.isfinite(rec.test_balanced_acc)
     moved = {k for k, v in model.state_dict().items() if not np.array_equal(v, before[k])}
     assert not any(k.startswith("backbone.") for k in moved)
@@ -361,19 +372,15 @@ def test_train_pyramid_batch_must_match_labels():
     model = _toy()
     pyr = _full_pyramid(model, images[:20])
     cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3, seed=0)
-    with pytest.raises(ContractError, match="pyramid batch"):
-        train(model, None, labels, cfg, pyramid=pyr)
+    with pytest.raises(ContractError, match="input batch"):
+        train(model, pyr, labels, cfg)
 
 
-def test_train_requires_exactly_one_input_source():
+def test_train_image_count_must_match_labels():
     images, labels = _toy_data(24)
-    model = _toy()
-    pyr = _full_pyramid(model, images)
     cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3, seed=0)
-    with pytest.raises(ContractError, match="exactly one"):
-        train(model, images, labels, cfg, pyramid=pyr)
-    with pytest.raises(ContractError, match="exactly one"):
-        train(model, None, labels, cfg)
+    with pytest.raises(ContractError, match="input batch"):
+        train(_toy(), images, labels[:-1], cfg)
 
 
 def test_pyramid_predict_matches_image_predict():
@@ -382,5 +389,25 @@ def test_pyramid_predict_matches_image_predict():
     model = _toy()
     model.eval()
     pyr = model.backbone(Tensor(images), stages=model.stage_indices)
-    npt.assert_array_equal(predict(model, None, 5, pyramid=pyr),
+    npt.assert_array_equal(predict(model, pyr, 5),
                            predict(model, images, batch_size=5))
+
+
+# ---- schedule length ----------------------------------------------------------------
+
+
+def test_schedule_ends_on_final_lr_when_remainder_batch_is_skipped():
+    """17 samples at batch 8: the size-1 remainder takes no step, so it is not counted."""
+    images, labels = _toy_data(24)
+    idx = np.arange(24)
+    cfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, max_lr=5e-3, seed=0)
+    rec = train(_toy(), images, labels, cfg, splits=(idx[:17], idx[17:], idx[17:]))
+    assert rec.epochs[-1].lr == pytest.approx(cfg.max_lr / cfg.final_div_factor)
+
+
+def test_train_split_below_two_samples_raises():
+    images, labels = _toy_data(24)
+    idx = np.arange(24)
+    cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3, seed=0)
+    with pytest.raises(ContractError, match="training split has 1 samples"):
+        train(_toy(), images, labels, cfg, splits=(idx[:1], idx[1:], idx[1:]))

@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     chunks = {i: [] for i in model.stage_indices}
     for lo in range(0, len(images), args.batch_size):
         batch = Tensor(images[lo:lo + args.batch_size], dtype=cfg.dtype)
-        pyr = model.backbone(batch, stages=model.stage_indices)
+        pyr = model.backbone(batch)
         for idx, feat in pyr.stages:
             chunks[idx].append(feat.data)
         print(f"\r{min(lo + args.batch_size, len(images))}/{len(images)}",

@@ -14,6 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -25,6 +26,9 @@ from .trainer import train
 
 SUITE_NAMES = ("attention", "scale-token", "stages", "heads-layers")
 SEED_SET = (0, 1, 2)
+
+# Training settings every suite run uses unless the caller overrides them.
+SUITE_TRAIN = TrainConfig(batch_size=32, max_epochs=30, patience=10, max_lr=3e-3)
 
 # Desk-scale base model; each suite swaps out the axis it ablates.
 _BASE = dict(patch_count=4, embed_dim=16, heads=4, layers=2, stages=(1, 2, 3),
@@ -103,24 +107,19 @@ def _single_run(job) -> RunResult:
 
 def run_suite(suite: str, images: np.ndarray, labels: np.ndarray,
               out_dir: "str | None" = None, seeds=SEED_SET,
-              train_cfg: "TrainConfig | None" = None, workers: int = 1,
+              train_cfg: TrainConfig = SUITE_TRAIN, workers: int = 1,
               log=None) -> dict:
-    """Run one suite end to end; returns (and optionally writes) the report."""
+    """Run one suite end to end; `log` gets a line per finished run. Returns the report."""
     grid = suite_grid(suite, int(images.shape[1]), int(labels.max()) + 1)
-    if train_cfg is None:
-        train_cfg = TrainConfig(batch_size=32, max_epochs=30, patience=10, max_lr=3e-3)
     jobs = [(config_id, replace(cfg, seed=s), replace(train_cfg, seed=s))
             for config_id, cfg in grid for s in seeds]
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                                 initargs=(images, labels)) as pool:
-            results = list(pool.map(_single_run, jobs))
-    else:
-        _init_pool(images, labels)
-        results = []
-        for job in jobs:
-            res = _single_run(job)
+    _init_pool(images, labels)  # the sequential path runs jobs in this process
+    results = []
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
+                              initargs=(images, labels))
+          if workers > 1 else nullcontext()) as pool:
+        for res in (pool.map if pool else map)(_single_run, jobs):
             if log is not None:
                 log(f"{res.config_id} seed {res.seed}: "
                     f"val {res.val_balanced_acc:.3f} test {res.test_balanced_acc:.3f} "

@@ -189,7 +189,7 @@ class TransformerBlock(Module):
 
 
 class PatchEncoder(Module):
-    """Plain ViT-style encoder over [B, N, D] (the hybrid baseline)."""
+    """Plain ViT-style encoder over the one-row tokens [B, 1, N, D] (the hybrid baseline)."""
 
     def __init__(self, embed_dim: int, heads: int, layers: int, n_patches: int,
                  stream, pos_patch: bool = True, dtype=np.float32):
@@ -206,6 +206,8 @@ class PatchEncoder(Module):
             object.__setattr__(self, "pos", None)
 
     def forward(self, x: Tensor) -> Tensor:
+        b, _, n, d = x.shape
+        x = x.reshape((b, n, d))
         if self.pos is not None:
             x = x + self.pos
         for i in range(self.layer_count):

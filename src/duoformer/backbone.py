@@ -96,28 +96,29 @@ class _Stage(Module):
 
 
 class ToyBackbone(Module):
-    """Minimal CNN producing the 4-stage pyramid; two convs per stage.
+    """Minimal CNN producing the pyramid stages it is built for; two convs per stage.
 
     Stage 0 is the stem (both convs stride 2, total /4); stages 1-3 use one
-    stride-2 and one stride-1 conv (/2 each).
+    stride-2 and one stride-1 conv (/2 each). Conv stages 0..max(stages) are
+    built, and `forward` emits exactly `stages`.
     """
 
-    def __init__(self, channels, stream, in_channels: int = 3, last_stage: int = 3,
-                 dtype=np.float32):
+    def __init__(self, channels, stream, stages=STAGE_INDICES, dtype=np.float32):
         super().__init__()
-        channels = list(channels)
         if len(channels) != 4:
-            raise ConfigError(f"backbone needs 4 channel widths, got {channels}")
-        object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "last_stage", last_stage)
-        prev = in_channels
-        for i, c in enumerate(channels[:last_stage + 1]):
+            raise ConfigError(f"backbone needs 4 channel widths, got {list(channels)}")
+        stages = tuple(sorted(set(stages)))
+        if not stages or any(s not in STAGE_INDICES for s in stages):
+            raise ConfigError(f"invalid stage subset {stages}")
+        object.__setattr__(self, "stages", stages)
+        prev = 3
+        for i, c in enumerate(channels[:stages[-1] + 1]):
             rng = stream.child(f"stage{i}").generator()
             setattr(self, f"stage{i}", _Stage(prev, c, rng,
                                               second_stride=2 if i == 0 else 1, dtype=dtype))
             prev = c
 
-    def forward(self, images: Tensor, stages=(0, 1, 2, 3)) -> FeaturePyramid:
+    def forward(self, images: Tensor) -> FeaturePyramid:
         """images: [B, H, W, 3] channel-last, H == W divisible by 32."""
         if images.ndim != 4 or images.shape[3] != 3:
             raise ConfigError(f"expected [B,H,W,3] images, got {images.shape}")
@@ -126,17 +127,11 @@ class ToyBackbone(Module):
             raise ConfigError(f"input must be square, got {h}x{w}")
         if h % 32:
             raise ConfigError(f"input size {h} not divisible by 32")
-        stages = sorted(set(stages))
-        if not stages or any(s not in STAGE_INDICES for s in stages):
-            raise ConfigError(f"invalid stage subset {stages}")
-        if max(stages) > self.last_stage:
-            raise ConfigError(f"backbone built through stage {self.last_stage}, "
-                              f"cannot produce stage {max(stages)}")
         x = images.transpose((0, 3, 1, 2))
         out = []
-        for i in range(max(stages) + 1):
+        for i in range(self.stages[-1] + 1):
             x = getattr(self, f"stage{i}")(x)
-            if i in stages:
+            if i in self.stages:
                 out.append((i, x.transpose((0, 2, 3, 1))))
         return FeaturePyramid(out, input_size=h)
 
@@ -152,7 +147,11 @@ def load_pyramid(path) -> FeaturePyramid:
     entries = load_tensors(path)
     if "input_size" not in entries:
         raise FormatError("pyramid container lacks an 'input_size' entry")
-    input_size = int(entries.pop("input_size"))
+    input_size = entries.pop("input_size")
+    if input_size.ndim != 0 or input_size.dtype != np.int64:
+        raise FormatError(f"pyramid 'input_size' must be a rank-0 i64 entry, got "
+                          f"{input_size.dtype} of shape {input_size.shape}")
+    input_size = int(input_size)
     stages = []
     for name, arr in entries.items():
         if not (name.startswith("stage") and name[5:].isdigit()):

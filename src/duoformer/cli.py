@@ -28,9 +28,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .ablate import SUITE_NAMES, format_table, run_suite
+from .ablate import SUITE_NAMES, SUITE_TRAIN, format_table, run_suite
 from .backbone import load_pyramid
-from .config import TrainConfig, parse_config, serialize_config
+from .config import parse_config, serialize_config
 from .data import gen_synthetic, load_dataset, split_dataset
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericError)
@@ -86,9 +86,6 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_tokenize(args) -> int:
     model_cfg, _ = _read_config(args.config)
-    if model_cfg.attention_mode == "patch_only":
-        raise ConfigError("tokenize needs the multi-scale path; "
-                          "attention_mode=patch_only has none")
     model = DuoFormer(model_cfg).eval()
     if args.image is not None:
         arr = load_tensor(args.image)
@@ -193,8 +190,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     images, labels = load_dataset(args.data)
-    train_cfg = TrainConfig(batch_size=args.batch_size, max_epochs=args.max_epochs,
-                            patience=args.patience, max_lr=args.max_lr)
+    train_cfg = replace(SUITE_TRAIN, batch_size=args.batch_size, max_epochs=args.max_epochs,
+                        patience=args.patience, max_lr=args.max_lr)
     report = run_suite(args.suite, images, labels, out_dir=args.out,
                        train_cfg=train_cfg, workers=args.parallel, log=_log)
     print(format_table(report))
@@ -270,13 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
                     default=1, metavar="N",
                     help="train N configs at once (bare flag = CPU count; default "
                          "sequential)")
-    ab.add_argument("--max-epochs", type=int, default=30,
-                    help="epoch budget per run (default 30)")
-    ab.add_argument("--batch-size", type=int, default=32, help="batch size (default 32)")
-    ab.add_argument("--patience", type=int, default=10,
-                    help="early-stop patience (default 10)")
-    ab.add_argument("--max-lr", type=float, default=3e-3,
-                    help="one-cycle peak learning rate (default 3e-3)")
+    ab.add_argument("--max-epochs", type=int, default=SUITE_TRAIN.max_epochs,
+                    help="epoch budget per run (default %(default)s)")
+    ab.add_argument("--batch-size", type=int, default=SUITE_TRAIN.batch_size,
+                    help="batch size (default %(default)s)")
+    ab.add_argument("--patience", type=int, default=SUITE_TRAIN.patience,
+                    help="early-stop patience (default %(default)s)")
+    ab.add_argument("--max-lr", type=float, default=SUITE_TRAIN.max_lr,
+                    help="one-cycle peak learning rate (default %(default)s)")
     ab.set_defaults(fn=cmd_ablate)
     return p
 

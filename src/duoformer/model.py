@@ -21,24 +21,12 @@ from . import serialize
 from .backbone import FeaturePyramid, ToyBackbone
 from .attention import DuoEncoder, PatchEncoder
 from .config import DuoFormerConfig, TrainConfig, parse_config, serialize_config
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 from .layers import Linear, Module
 from .rng import SeedStream
 from .scale_token import FusedScaleToken, LearnableScaleToken, attach_scale_token
 from .tensor import DTYPES, Tensor
 from .tokenizer import MultiScaleTokens, scale_layout, tokenize
-
-
-class _Projections(Module):
-    """One [C_i, D] affine map per included stage, keyed `stage{i}`."""
-
-    def __init__(self, stages, channels, embed_dim, stream, dtype):
-        super().__init__()
-        object.__setattr__(self, "stage_indices", tuple(sorted(stages)))
-        for i in self.stage_indices:
-            setattr(self, f"stage{i}",
-                    Linear(channels[i], embed_dim, stream.child(f"stage{i}").generator(),
-                           dtype=dtype))
 
 
 class DuoFormer(Module):
@@ -49,25 +37,27 @@ class DuoFormer(Module):
         dtype = DTYPES[cfg.dtype]
         stream = SeedStream(cfg.seed)
         stages = tuple(sorted(set(cfg.stages)))
+        if cfg.attention_mode == "patch_only":
+            stages = stages[-1:]  # the hybrid baseline tokenizes the deepest stage only
         object.__setattr__(self, "stage_indices", stages)
 
-        self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"),
-                                    last_stage=max(stages), dtype=dtype)
+        self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"), stages=stages,
+                                    dtype=dtype)
+        self.proj = Module()
+        for i in stages:
+            setattr(self.proj, f"stage{i}",
+                    Linear(cfg.channels[i], cfg.embed_dim,
+                           stream.child("proj").child(f"stage{i}").generator(), dtype=dtype))
+        object.__setattr__(self, "token_count",
+                           sum(count for _, _, count in
+                               scale_layout(cfg.input_size, cfg.patch_count, stages)))
 
         if cfg.attention_mode == "patch_only":
-            deepest = max(stages)
-            self.proj = _Projections((deepest,), cfg.channels, cfg.embed_dim,
-                                     stream.child("proj"), dtype)
             depth = cfg.patch_only_layers or cfg.layers
             self.encoder = PatchEncoder(cfg.embed_dim, cfg.heads, depth, cfg.patch_count,
                                         stream.child("encoder"), pos_patch=cfg.pos_patch,
                                         dtype=dtype)
         else:
-            self.proj = _Projections(stages, cfg.channels, cfg.embed_dim,
-                                     stream.child("proj"), dtype)
-            layout = scale_layout(cfg.input_size, cfg.patch_count, stages)
-            s = sum(count for _, _, count in layout)
-            object.__setattr__(self, "token_count", s)
             if cfg.scale_token_mode == "fused":
                 self.scale_token = FusedScaleToken(stages, cfg.channels, cfg.input_size,
                                                    cfg.patch_count, cfg.embed_dim,
@@ -75,12 +65,12 @@ class DuoFormer(Module):
             elif cfg.scale_token_mode == "learnable":
                 self.scale_token = LearnableScaleToken(cfg.patch_count, cfg.embed_dim,
                                                        stream.child("scale_token"), dtype=dtype)
-            scale_extent = s + (1 if cfg.scale_token_mode != "none" else 0)
-            mode = "scale_only" if cfg.attention_mode == "scale_only" else "duo"
+            scale_extent = self.token_count + (cfg.scale_token_mode != "none")
             self.encoder = DuoEncoder(cfg.embed_dim, cfg.heads, cfg.layers, scale_extent,
-                                      cfg.patch_count, stream.child("encoder"), mode=mode,
-                                      readout=cfg.readout, pos_scale=cfg.pos_scale,
-                                      pos_patch=cfg.pos_patch, dtype=dtype)
+                                      cfg.patch_count, stream.child("encoder"),
+                                      mode=cfg.attention_mode, readout=cfg.readout,
+                                      pos_scale=cfg.pos_scale, pos_patch=cfg.pos_patch,
+                                      dtype=dtype)
 
         self.head = Linear(cfg.embed_dim, cfg.num_classes, stream.child("head").generator(),
                            dtype=dtype)
@@ -89,8 +79,14 @@ class DuoFormer(Module):
 
     def pyramid_from(self, x: "Tensor | FeaturePyramid") -> FeaturePyramid:
         """The backbone's pyramid of images `x`, or pyramid `x`, checked against the config."""
-        pyramid = x if isinstance(x, FeaturePyramid) else self.backbone(
-            x, stages=self.stage_indices)
+        if isinstance(x, FeaturePyramid):
+            dtype = DTYPES[self.cfg.dtype]
+            if any(feat.data.dtype != dtype for _, feat in x.stages):  # pyramid files are f32
+                x = FeaturePyramid([(i, feat.astype(dtype)) for i, feat in x.stages],
+                                   input_size=x.input_size)
+            pyramid = x
+        else:
+            pyramid = self.backbone(x)
         if pyramid.input_size != self.cfg.input_size:
             raise ConfigError(f"pyramid input_size {pyramid.input_size} != configured "
                               f"{self.cfg.input_size}")
@@ -107,19 +103,11 @@ class DuoFormer(Module):
 
     def forward(self, x: "Tensor | FeaturePyramid") -> Tensor:
         """x: images [B, H, W, 3], or a FeaturePyramid that bypasses the backbone."""
-        cfg = self.cfg
         pyramid = self.pyramid_from(x)
-        if cfg.attention_mode == "patch_only":
-            deepest = max(self.stage_indices)
-            feat = getattr(self.proj, f"stage{deepest}")(pyramid.stage(deepest))  # [B, g, g, D]
-            b, g, _, d = feat.shape
-            x = self.encoder(feat.reshape((b, g * g, d)))
-        else:
-            mst = self.tokens(pyramid)
-            if cfg.scale_token_mode != "none":
-                mst = attach_scale_token(mst, self.scale_token(pyramid))
-            x = self.encoder(mst.tokens)
-        return self.head(x.mean(axis=1))  # [B, N, D] -> [B, D] -> logits
+        mst = self.tokens(pyramid)
+        if self.cfg.scale_token_mode != "none":
+            mst = attach_scale_token(mst, self.scale_token(pyramid))
+        return self.head(self.encoder(mst.tokens).mean(axis=1))  # [B, N, D] -> [B, D] -> logits
 
 
 def count_parameters(model: DuoFormer) -> "OrderedDict[str, int]":
@@ -149,7 +137,10 @@ def load_checkpoint(path) -> "tuple[DuoFormer, TrainConfig]":
     if "config" not in entries:
         raise FormatError("checkpoint lacks a 'config' entry")
     text = serialize.array_to_text(entries.pop("config"))
-    model_cfg, train_cfg = parse_config(text)
-    model = DuoFormer(model_cfg)
-    model.load_state_dict(entries)
+    try:  # an invalid embedded config, or tensors that do not fit it
+        model_cfg, train_cfg = parse_config(text)
+        model = DuoFormer(model_cfg)
+        model.load_state_dict(entries)
+    except (ConfigError, ContractError) as e:
+        raise FormatError(f"checkpoint {path}: {e}") from e
     return model, train_cfg

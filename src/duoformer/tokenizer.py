@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import FeaturePyramid, stage_extent
+from .backbone import stage_extent
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
@@ -86,16 +86,6 @@ def patch_index_map(input_size: int, n_patches: int, stages) -> "dict[int, np.nd
                 offset = (r % pp) * pp + (c % pp)
                 m[r * p + c] = (patch, offset)
         out[i] = m
-    return out
-
-
-def project(pyramid: FeaturePyramid, projections: "dict[int, object]") -> "list[tuple[int, Tensor]]":
-    """Apply the per-stage [C_i, D] affine maps; spatial extents unchanged."""
-    out = []
-    for idx, feat in pyramid.stages:
-        if idx not in projections:
-            raise ConfigError(f"no projection weights for stage {idx}")
-        out.append((idx, projections[idx](feat)))
     return out
 
 

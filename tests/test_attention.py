@@ -331,7 +331,7 @@ def test_patch_encoder_block_has_residuals():
             p.data = np.zeros_like(p.data)
     # zeroed weights silence attention and FFN; residuals pass x through LN-free
     x = np.random.default_rng(21).standard_normal((1, 5, 4))
-    npt.assert_array_equal(enc(Tensor(x)).data, x)
+    npt.assert_array_equal(enc(Tensor(x[:, None])).data, x)
 
 
 def test_patch_encoder_stacks_layers():
@@ -340,6 +340,6 @@ def test_patch_encoder_stacks_layers():
     for _, p in enc.named_parameters():
         p.data = p.data + rng.standard_normal(p.shape) * 0.05
     x = np.random.default_rng(23).standard_normal((2, 5, 4))
-    got = enc(Tensor(x)).data
+    got = enc(Tensor(x[:, None])).data
     want = enc.layer1(enc.layer0(Tensor(x) + enc.pos)).data
     npt.assert_array_equal(got, want)

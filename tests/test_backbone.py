@@ -10,9 +10,9 @@ from duoformer.rng import SeedStream
 from duoformer.tensor import Tensor
 
 
-def _backbone(channels=(2, 3, 4, 5), dtype=np.float32, last_stage=3):
+def _backbone(channels=(2, 3, 4, 5), dtype=np.float32, stages=(0, 1, 2, 3)):
     # eval mode so batch-1 probes don't trip the BN small-batch guard
-    bb = ToyBackbone(channels, SeedStream(0).child("bb"), last_stage=last_stage, dtype=dtype)
+    bb = ToyBackbone(channels, SeedStream(0).child("bb"), stages=stages, dtype=dtype)
     return bb.eval()
 
 
@@ -37,7 +37,7 @@ def test_stage_shapes_at_64():
 
 
 def test_batch_passthrough():
-    pyr = _backbone()(_images(2, 32), stages=(0, 1, 2))
+    pyr = _backbone(stages=(0, 1, 2))(_images(2, 32))
     assert all(f.shape[0] == 2 for _, f in pyr.stages)
 
 
@@ -61,14 +61,16 @@ def test_rejects_non_square():
 
 
 def test_stage_subset_selects():
-    pyr = _backbone()(_images(1, 32), stages=(1, 2))
-    assert pyr.stage_indices == (1, 2)
+    bb = _backbone(stages=(1, 2))
+    assert bb(_images(1, 32)).stage_indices == (1, 2)
+    # conv stages run through the deepest requested one and stop there
+    assert [n for n in bb._children] == ["stage0", "stage1", "stage2"]
 
 
-def test_truncated_backbone_rejects_deep_request():
-    bb = _backbone(last_stage=2)
-    with pytest.raises(ConfigError, match="stage"):
-        bb(_images(1, 32), stages=(0, 3))
+def test_backbone_rejects_invalid_stage_subset_at_construction():
+    for stages in [(), (0, 4), (-1, 2)]:
+        with pytest.raises(ConfigError, match="stage subset"):
+            _backbone(stages=stages)
 
 
 # ---- FeaturePyramid invariants ------------------------------------------------
@@ -153,7 +155,7 @@ def test_backbone_grad_check():
 
 
 def test_pyramid_round_trip(tmp_path):
-    pyr = _backbone()(_images(2, 32), stages=(0, 2))
+    pyr = _backbone(stages=(0, 2))(_images(2, 32))
     p = tmp_path / "pyr.dfc"
     save_pyramid(p, pyr)
     back = load_pyramid(p)
@@ -205,5 +207,15 @@ def test_load_pyramid_requires_input_size(tmp_path):
     from duoformer.serialize import save_tensors
     p = tmp_path / "pyr.dfc"
     save_tensors(p, {"stage3": np.zeros((1, 7, 7, 8), np.float32)})
+    with pytest.raises(FormatError, match="input_size"):
+        load_pyramid(p)
+
+
+@pytest.mark.parametrize("input_size", [np.array([32, 32], np.int64), np.array(32.0)],
+                         ids=["vector", "float"])
+def test_load_pyramid_requires_scalar_i64_input_size(tmp_path, input_size):
+    from duoformer.serialize import save_tensors
+    p = tmp_path / "pyr.dfc"
+    save_tensors(p, {"stage2": np.zeros((1, 2, 2, 8), np.float32), "input_size": input_size})
     with pytest.raises(FormatError, match="input_size"):
         load_pyramid(p)

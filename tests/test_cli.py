@@ -93,14 +93,18 @@ def test_tokenize_single_image(tmp_path, toy_cfg):
     assert layout.index("stage = 2") < layout.index("stage = 0")  # deepest first
 
 
-def test_tokenize_rejects_patch_only(tmp_path, toy_cfg, capsys):
+def test_tokenize_patch_only_writes_one_token_row(tmp_path):
     cfg = tmp_path / "po.cfg"
     cfg.write_text(TOY_CFG + "attention_mode = patch_only\nreadout = avg_tokens\n"
-                             "scale_token_mode = none\nstages = 2\n")
+                             "scale_token_mode = none\n")
     img = tmp_path / "img.dft"
     save_tensor(img, np.zeros((32, 32, 3), dtype=np.float32))
+    out = tmp_path / "t.dft"
     assert cli.main(["tokenize", "--config", str(cfg), "--image", str(img),
-                     "--out", str(tmp_path / "t.dft")]) == 2
+                     "--out", str(out)]) == 0
+    assert load_tensor(out).shape == (1, 4, 16)  # S = 1: the deepest stage only
+    assert (tmp_path / "t.dft.layout.txt").read_text().splitlines()[1:] == [
+        "stage = 2, grid = 1, tokens = 1"]
 
 
 def test_tokenize_pyramid_matches_image(tmp_path, toy_cfg):
@@ -113,7 +117,7 @@ def test_tokenize_pyramid_matches_image(tmp_path, toy_cfg):
     img, pyr = tmp_path / "img.dft", tmp_path / "pyr.dfc"
     save_tensor(img, image)
     model = DuoFormer(parse_config(TOY_CFG)[0]).eval()
-    save_pyramid(pyr, model.backbone(Tensor(image[None]), stages=model.stage_indices))
+    save_pyramid(pyr, model.backbone(Tensor(image[None])))
     for flag, path, out in (("--image", img, "a.dft"), ("--pyramid", pyr, "b.dft")):
         assert cli.main(["tokenize", "--config", toy_cfg, flag, str(path),
                          "--out", str(tmp_path / out)]) == 0
@@ -133,6 +137,17 @@ def test_tokenize_pyramid_wrong_input_size_exits_2(tmp_path, toy_cfg, capsys):
     save_pyramid(pyr, FeaturePyramid(feats, input_size=64))
     assert cli.main(["tokenize", "--config", toy_cfg, "--pyramid", str(pyr),
                      "--out", str(tmp_path / "t.dft")]) == 2
+    assert "input_size" in capsys.readouterr().err
+
+
+def test_tokenize_pyramid_non_scalar_input_size_exits_3(tmp_path, toy_cfg, capsys):
+    from duoformer.serialize import save_tensors
+
+    pyr = tmp_path / "pyr.dfc"
+    save_tensors(pyr, {"stage2": np.zeros((1, 2, 2, 16), np.float32),
+                       "input_size": np.array([32, 32], np.int64)})
+    assert cli.main(["tokenize", "--config", toy_cfg, "--pyramid", str(pyr),
+                     "--out", str(tmp_path / "t.dft")]) == 3
     assert "input_size" in capsys.readouterr().err
 
 
@@ -197,7 +212,7 @@ def test_train_from_pyramid(tmp_path, toy_cfg, dataset):
     model_cfg, _ = parse_config(TOY_CFG)
     images, _ = load_dataset(dataset)
     extractor = DuoFormer(model_cfg).eval()
-    pyr = extractor.backbone(Tensor(images), stages=extractor.stage_indices)
+    pyr = extractor.backbone(Tensor(images))
     pyr_path = tmp_path / "pyr.dfc"
     save_pyramid(pyr_path, pyr)
     run = tmp_path / "run"
@@ -206,18 +221,69 @@ def test_train_from_pyramid(tmp_path, toy_cfg, dataset):
     assert (run / "best.dfc").exists()
 
 
-def test_export_pyramid_script_feeds_train(tmp_path, toy_cfg, dataset):
+@pytest.fixture()
+def _export_pyramid():
     import importlib.util
 
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "export_pyramid.py")
     spec = importlib.util.spec_from_file_location("export_pyramid", script)
     export = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(export)
+    return export
+
+
+def test_export_pyramid_script_feeds_train(tmp_path, toy_cfg, dataset, _export_pyramid):
     pyr = tmp_path / "pyr.dfc"
-    assert export.main(["--config", toy_cfg, "--data", dataset, "--out", str(pyr),
+    assert _export_pyramid.main(["--config", toy_cfg, "--data", dataset, "--out", str(pyr),
                         "--batch-size", "16"]) == 0
     assert cli.main(["train", "--config", toy_cfg, "--data", dataset,
                      "--out", str(tmp_path / "run"), "--pyramid", str(pyr)]) == 0
+
+
+def test_export_pyramid_feeds_f64_train(tmp_path, dataset, _export_pyramid):
+    cfg = tmp_path / "f64.cfg"
+    cfg.write_text(TOY_CFG + "dtype = f64\n")
+    pyr = tmp_path / "pyr.dfc"
+    assert _export_pyramid.main(["--config", str(cfg), "--data", dataset,
+                                 "--out", str(pyr)]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--data", dataset,
+                     "--out", str(tmp_path / "run"), "--pyramid", str(pyr)]) == 0
+
+
+def _toy_checkpoint(tmp_path, edit):
+    """A fresh toy checkpoint with `edit` applied to its tensor entries."""
+    from duoformer.config import parse_config
+    from duoformer.model import DuoFormer, save_checkpoint
+    from duoformer.serialize import load_tensors, save_tensors
+
+    path = tmp_path / "ckpt.dfc"
+    save_checkpoint(path, DuoFormer(parse_config(TOY_CFG)[0]))
+    entries = load_tensors(path)
+    edit(entries)
+    save_tensors(path, entries)
+    return str(path)
+
+
+def test_eval_checkpoint_missing_tensor_exits_3(tmp_path, dataset, capsys):
+    ckpt = _toy_checkpoint(tmp_path, lambda e: e.pop("head.b"))
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", dataset]) == 3
+    assert "head.b" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_invalid_config_exits_3(tmp_path, dataset, capsys):
+    from duoformer.serialize import save_tensors, text_to_array
+
+    bad = tmp_path / "bad.dfc"
+    save_tensors(bad, {"config": text_to_array("embed_dim = 7\nheads = 2\n")})
+    assert cli.main(["eval", "--checkpoint", str(bad), "--data", dataset]) == 3
+    assert "heads" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_misshaped_tensor_exits_3(tmp_path, dataset, capsys):
+    ckpt = _toy_checkpoint(tmp_path, lambda e: e.update({"head.w": np.zeros((3, 3),
+                                                                            np.float32)}))
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", dataset]) == 3
+    assert "head.w" in capsys.readouterr().err
 
 
 def test_eval_corrupted_magic_exits_3(tmp_path, dataset, capsys):
@@ -296,6 +362,20 @@ def test_ablate_writes_reports(tmp_path):
         assert len(row["per_seed"]) == 3
     table = (out / "report.txt").read_text()
     assert "duo" in table and "±" in table
+
+
+def test_ablate_parallel_logs_each_finished_run(tmp_path):
+    from duoformer.ablate import run_suite
+    from duoformer.config import TrainConfig
+    from duoformer.data import load_dataset
+
+    data = tmp_path / "data64"
+    assert cli.main(["gen-synthetic", "--out", str(data), "--samples", "24"]) == 0
+    images, labels = load_dataset(str(data))
+    lines = []
+    run_suite("attention", images, labels, seeds=(0,), workers=2, log=lines.append,
+              train_cfg=TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3))
+    assert [line.split()[0] for line in lines] == ["duo", "scale_only", "patch_only"]
 
 
 def test_ablate_heads_layers_grid_skips_indivisible():

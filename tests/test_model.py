@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from duoformer.backbone import FeaturePyramid
 from duoformer.config import DuoFormerConfig, TrainConfig
 from duoformer.errors import ConfigError, ContractError
 from duoformer.model import DuoFormer, count_parameters, load_checkpoint, save_checkpoint
@@ -116,7 +117,7 @@ def test_eval_forward_deterministic():
 def test_pyramid_path_matches_image_path():
     m = _model()
     x = _images()
-    pyr = m.backbone(x, stages=m.stage_indices)
+    pyr = m.backbone(x)
     npt.assert_array_equal(m(x).data, m(pyr).data)
 
 
@@ -124,16 +125,55 @@ def test_pyramid_size_mismatch_rejected():
     m = _model()
     # 64 px needs stage 3 so the fused token still lands on the patch grid
     big = DuoFormer(_cfg(input_size=64, stages=(0, 1, 2, 3))).eval()
-    pyr = big.backbone(_images(h=64), stages=big.stage_indices)
+    pyr = big.backbone(_images(h=64))
     with pytest.raises(ConfigError, match="input_size"):
         m(pyr)
 
 
 def test_pyramid_missing_stage_rejected():
     m = _model(stages=(0, 1, 2))
-    pyr = m.backbone(_images(), stages=(1, 2))
+    pyr = m.backbone(_images())
+    pyr = FeaturePyramid(pyr.stages[1:], input_size=pyr.input_size)
     with pytest.raises(ConfigError, match="stages \\[0\\]"):
         m(pyr)
+
+
+def test_pyramid_of_model_dtype_passes_through_uncopied():
+    m = _model(dtype="f64")
+    pyr = m.backbone(_images().astype("f64"))
+    assert m.pyramid_from(pyr) is pyr
+
+
+def test_f64_model_casts_f32_pyramid():
+    m = _model(dtype="f64")
+    pyr = m.backbone(_images().astype("f64"))
+    f32 = FeaturePyramid([(i, f.astype("f32")) for i, f in pyr.stages], input_size=32)
+    assert all(f.data.dtype == np.float64 for _, f in m.pyramid_from(f32).stages)
+    assert m(f32).data.dtype == np.float64
+
+
+_PATCH_ONLY = dict(attention_mode="patch_only", readout="avg_tokens", scale_token_mode="none")
+
+
+def test_patch_only_runs_on_deepest_stage_pyramid():
+    m = _model(**_PATCH_ONLY)
+    assert m.stage_indices == (2,) and m.token_count == 1
+    full = m.backbone(_images())
+    assert full.stage_indices == (2,)
+    deepest = FeaturePyramid([(2, full.stage(2))], input_size=32)
+    npt.assert_array_equal(m(deepest).data, m(_images()).data)
+
+
+def test_patch_only_logits_follow_the_hybrid_baseline():
+    m = _model(**_PATCH_ONLY)
+    rng = np.random.default_rng(3)
+    for _, p in m.named_parameters():
+        p.data = p.data + rng.standard_normal(p.shape).astype(p.data.dtype) * 0.1
+    x = _images()
+    proj = m.proj.stage2(m.backbone(x).stage(2))  # [B, g, g, D]
+    b, g, _, d = proj.shape
+    want = m.head(m.encoder(proj.reshape((b, 1, g * g, d))).mean(axis=1))
+    npt.assert_array_equal(m(x).data, want.data)
 
 
 def test_train_and_eval_disagree_through_bn():
@@ -240,4 +280,4 @@ def test_backbone_stops_at_deepest_configured_stage():
     # learnable token: no patch-grid anchor, so a shallow-only subset is legal
     m = _model(stages=(0, 1), scale_token_mode="learnable")
     assert not any(n.startswith("backbone.stage2") for n, _ in m.named_parameters())
-    assert m.backbone.last_stage == 1
+    assert m.backbone.stages[-1] == 1

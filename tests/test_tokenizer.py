@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duoformer.backbone import FeaturePyramid
 from duoformer.errors import ConfigError, ContractError
 from duoformer.layers import Linear
 from duoformer.rng import SeedStream
 from duoformer.tensor import Tensor
-from duoformer.tokenizer import (MultiScaleTokens, patch_grid, patch_index_map, project,
-                                 scale_layout, tokenize, tokens_per_patch, untokenize)
+from duoformer.tokenizer import (MultiScaleTokens, patch_grid, patch_index_map, scale_layout,
+                                 tokenize, tokens_per_patch, untokenize)
 from oracles import patch_scatter
 
 
@@ -127,35 +126,25 @@ def test_cross_stage_alignment():
 
 def test_identity_projection_preserves_features():
     d = 4
-    pyr_feats = _projected(32, 4, (2,), d=d)
-    pyr = FeaturePyramid(pyr_feats, input_size=32)
+    feat = _projected(32, 4, (2,), d=d)[0][1]
     proj = Linear(d, d, SeedStream(0).child("p").generator())
     proj.w.data = np.eye(d, dtype=np.float32)
-    out = project(pyr, {2: proj})
-    npt.assert_array_equal(out[0][1].data, pyr_feats[0][1].data)
+    npt.assert_array_equal(proj(feat).data, feat.data)
 
 
 def test_projection_matches_per_position_matmul():
     c_in, d = 5, 3
     rng = np.random.default_rng(7)
     feat = Tensor(rng.random((2, 4, 4, c_in)))
-    pyr = FeaturePyramid([(1, feat)], input_size=32)
     proj = Linear(c_in, d, SeedStream(1).child("p").generator(), dtype=np.float64)
     proj.w.data = rng.standard_normal((c_in, d))
     proj.b.data = rng.standard_normal(d)
-    out = project(pyr, {1: proj})[0][1].data
+    out = proj(feat).data
     for b in range(2):
         for r in range(4):
             for c in range(4):
                 want = feat.data[b, r, c] @ proj.w.data + proj.b.data
                 npt.assert_allclose(out[b, r, c], want, atol=1e-12)
-
-
-def test_project_requires_all_stages():
-    pyr = FeaturePyramid(_projected(32, 4, (1, 2)), input_size=32)
-    proj = Linear(3, 3, SeedStream(0).child("p").generator())
-    with pytest.raises(ConfigError, match="stage 2"):
-        project(pyr, {1: proj})
 
 
 # ---- tokenize ----------------------------------------------------------------

@@ -348,7 +348,7 @@ def test_predict_and_evaluate_consistency():
 
 def _full_pyramid(model, images):
     model.eval()
-    pyr = model.backbone(Tensor(images), stages=model.stage_indices)
+    pyr = model.backbone(Tensor(images))
     model.train()
     return pyr
 
@@ -388,7 +388,7 @@ def test_pyramid_predict_matches_image_predict():
     images, labels = _toy_data(12)
     model = _toy()
     model.eval()
-    pyr = model.backbone(Tensor(images), stages=model.stage_indices)
+    pyr = model.backbone(Tensor(images))
     npt.assert_array_equal(predict(model, pyr, 5),
                            predict(model, images, batch_size=5))
 

@@ -13,8 +13,6 @@ and none is created.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -27,7 +25,8 @@ class MSA(Module):
     """Multi-head self-attention over the second-to-last axis.
 
     Heads are contiguous slices of the fused qkv projection; scores scale
-    by 1/sqrt(D/h). All leading axes are batch.
+    by 1/sqrt(D/h). All leading axes are batch. One ``tensor.attention``
+    graph node.
     """
 
     def __init__(self, embed_dim: int, heads: int, stream, dtype=np.float32):
@@ -41,26 +40,17 @@ class MSA(Module):
 
     def forward(self, x: Tensor, return_attn: bool = False):
         *lead, t, d = x.shape
-        h, dh = self.heads, self.head_dim
-        if d != h * dh:
-            raise DimensionError(f"token dim {d} does not match configured {h * dh}")
-        b = int(np.prod(lead)) if lead else 1
-        x2 = x.reshape((b, t, d))
-        qkv = self.qkv(x2)
-        q = qkv[:, :, 0 * d:1 * d].reshape((b, t, h, dh)).transpose((0, 2, 1, 3))
-        k = qkv[:, :, 1 * d:2 * d].reshape((b, t, h, dh)).transpose((0, 2, 1, 3))
-        v = qkv[:, :, 2 * d:3 * d].reshape((b, t, h, dh)).transpose((0, 2, 1, 3))
-        scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        attn = T.softmax(scores, axis=-1)  # [b, h, t, t]
-        out = T.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, t, d))
-        out = self.proj(out).reshape(tuple(lead) + (t, d))
+        h = self.heads
+        if d != h * self.head_dim:
+            raise DimensionError(f"token dim {d} does not match configured {h * self.head_dim}")
+        out, attn = T.attention(x, self.qkv.w, self.qkv.b, self.proj.w, self.proj.b, h)
         if return_attn:
-            return out, attn.data.reshape(tuple(lead) + (h, t, t))
+            return out, attn.reshape(tuple(lead) + (h, t, t))
         return out
 
 
 class FFN(Module):
-    """linear -> GELU -> linear with hidden width 4D."""
+    """linear -> GELU -> linear with hidden width 4D, one ``tensor.ffn`` graph node."""
 
     def __init__(self, embed_dim: int, stream, dtype=np.float32):
         super().__init__()
@@ -68,7 +58,7 @@ class FFN(Module):
         self.fc2 = Linear(4 * embed_dim, embed_dim, stream.child("fc2").generator(), dtype=dtype)
 
     def forward(self, x):
-        return self.fc2(T.gelu(self.fc1(x)))
+        return T.ffn(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 
 class DuoLayer(Module):

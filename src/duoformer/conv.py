@@ -46,7 +46,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * ho * wo, o)
         if w.requires_grad:
-            w._accum((g2.T @ cols).reshape(o, c, kh, kw))
+            w._accum((g2.T @ cols).reshape(o, c, kh, kw), owned=True)
         if b is not None and b.requires_grad:
             b._accum(g2.sum(axis=0))
         if x.requires_grad:
@@ -58,7 +58,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                         dj:dj + wo * stride:stride] += dcols[:, :, :, :, di, dj]
             if padding:
                 dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
-            x._accum(dxp)
+            x._accum(dxp, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _from_op(out_data, parents, bw)

@@ -34,11 +34,30 @@ These rewrites give bit-identical results to their plain forms, op by op:
 the same numpy operations on the same values in the same order. Where
 several consumers add gradients into one tensor, the order of those adds
 follows the backward walk of the graph.
+
+Two fused ops each replace a transformer sub-block's graph of primitive
+ops with one node and a hand-written backward:
+
+* ``attention(x, wqkv, bqkv, wproj, bproj, heads)`` keeps the reshaped
+  input, ``qkv``, the softmax probabilities and the merged heads; q, k and
+  v are views of ``qkv``. Neither the raw and scaled scores nor the
+  pre-merge heads outlive the forward.
+* ``ffn(x, w1, b1, w2, b2)`` keeps fc1's output and ``tanh(u)``; backward
+  recomputes the GELU output for fc2's weight gradient with the same chunk
+  kernels. When the op records no graph, the GELU runs in place over fc1's
+  output with chunk-sized scratch.
+
+Forward and backward run the numpy operations of the composed graph in
+the same order, with the kernels the primitive ops use (``_softmax``, the
+GELU chunks, ``_weight_grad``, ``_unbroadcast``); only q, k and v enter
+their products as strided views of ``qkv`` instead of copies. Values and
+gradients match the composed graph bit for bit (``tests/test_fused_ops.py``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -210,12 +229,17 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _records(parents) -> bool:
+    """Whether an op over ``parents`` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _from_op(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -342,12 +366,17 @@ def matmul(a: Tensor, b: Tensor, bias: "Tensor | None" = None) -> Tensor:
             a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
                      owned=True)
         if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                b._accum(_weight_grad(a.data, g), owned=True)
-            else:
-                b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            _accum_rhs_grad(b, a.data, g)
 
     return _from_op(out_data, (a, b, bias), bw)
+
+
+def _accum_rhs_grad(b: Tensor, a: np.ndarray, g: np.ndarray):
+    """Add the gradient of ``b`` in ``a @ b`` (output gradient ``g``) into ``b``."""
+    if b.ndim == 2 and a.ndim > 2:
+        b._accum(_weight_grad(a, g), owned=True)
+    else:
+        b._accum(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
 
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -496,6 +525,49 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(xc: np.ndarray, tc: np.ndarray):
+    """tc = tanh(C * (x + A * x**3)) for one chunk."""
+    np.power(xc, 3, out=tc)
+    tc *= _GELU_A
+    tc += xc
+    tc *= _GELU_C
+    np.tanh(tc, out=tc)
+
+
+def _gelu_out(xc: np.ndarray, tc: np.ndarray, oc: np.ndarray):
+    """oc = 0.5 * x * (1 + t) for one chunk; oc may be xc."""
+    np.multiply(0.5, xc, out=oc)
+    oc *= 1.0 + tc
+
+
+def _gelu_into(x: np.ndarray, t: np.ndarray, out: np.ndarray):
+    """out = gelu(x) and t = tanh(u), chunk by chunk."""
+    for xc, tc, oc in flat_chunks(x, t, out):
+        _gelu_tanh(xc, tc)
+        _gelu_out(xc, tc, oc)
+
+
+def _gelu_grad_into(x: np.ndarray, t: np.ndarray, g: np.ndarray, r: np.ndarray):
+    """r = g * gelu'(x) from x and t = tanh(u), chunk by chunk; r shares no
+    memory with x, t or g."""
+    # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * du),
+    # du = C * (1 + 3 * A * x**2)
+    for xc, tc, gc, rc in flat_chunks(x, t, g, r):
+        du = np.square(xc)
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        s = np.square(tc)
+        np.subtract(1.0, s, out=s)
+        np.multiply(0.5, xc, out=rc)
+        rc *= s
+        rc *= du
+        np.add(1.0, tc, out=s)
+        s *= 0.5
+        rc += s
+        rc *= gc
+
+
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU; the backward differentiates the approximation.
 
@@ -505,33 +577,11 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     t = np.empty_like(x)
     out_data = np.empty_like(x)
-    for xc, tc, oc in flat_chunks(x, t, out_data):
-        np.power(xc, 3, out=tc)
-        tc *= _GELU_A
-        tc += xc
-        tc *= _GELU_C
-        np.tanh(tc, out=tc)
-        np.multiply(0.5, xc, out=oc)
-        oc *= 1.0 + tc
+    _gelu_into(x, t, out_data)
 
     def bw(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * du),
-        # du = C * (1 + 3 * A * x**2)
         r = np.empty_like(x)
-        for xc, tc, gc, rc in flat_chunks(x, t, g, r):
-            du = np.square(xc)
-            du *= 3.0 * _GELU_A
-            du += 1.0
-            du *= _GELU_C
-            s = np.square(tc)
-            np.subtract(1.0, s, out=s)
-            np.multiply(0.5, xc, out=rc)
-            rc *= s
-            rc *= du
-            np.add(1.0, tc, out=s)
-            s *= 0.5
-            rc += s
-            rc *= gc
+        _gelu_grad_into(x, t, g, r)
         a._accum(r, owned=True)
 
     return _from_op(out_data, (a,), bw)
@@ -544,14 +594,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along ``axis``; rows sum to 1."""
     if not (-a.ndim <= axis < a.ndim):
         raise DimensionError(f"softmax axis {axis} invalid for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
 
     def bw(g):
-        a._accum((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+        a._accum(_softmax_grad(g, y, axis))
 
     return _from_op(y, (a,), bw)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    y = x - x.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -606,3 +665,137 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         logits._accum(g * p / n)
 
     return _from_op(out_data, (logits,), bw)
+
+
+# ---- fused transformer blocks -----------------------------------------------------------
+
+
+def _check_affine(op: str, x: Tensor, k: int, w: Tensor, b: Tensor):
+    """w [k, n] and b [n] in x's dtype: an affine map from width k."""
+    _check_same_dtype(x, w, op)
+    _check_same_dtype(x, b, op)
+    if w.ndim != 2 or w.shape[0] != k or b.shape != w.shape[1:]:
+        raise DimensionError(f"{op}: weight {w.shape} and bias {b.shape} do not map width {k}")
+
+
+def _linear_grad(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
+    """Backward of ``x @ w + b`` inside a fused op, in matmul's order: b's and
+    w's gradients accumulate, x's is returned."""
+    if b.requires_grad:
+        b._accum(_unbroadcast(g, b.shape))
+    gx = np.matmul(g, np.swapaxes(w.data, -1, -2))
+    if w.requires_grad:
+        _accum_rhs_grad(w, x, g)
+    return gx
+
+
+def _split_heads(qkv: np.ndarray, heads: int):
+    """q, k, v as [b, heads, t, d / heads] views of the fused [b, t, 3d] projection."""
+    b, t, d3 = qkv.shape
+    parts = qkv.reshape((b, t, 3, heads, d3 // (3 * heads))).transpose((2, 0, 3, 1, 4))
+    return parts[0], parts[1], parts[2]
+
+
+def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tensor,
+              heads: int):
+    """Multi-head self-attention over the second-to-last axis of x [*lead, t, d].
+
+    One graph node for qkv = x @ wqkv + bqkv, the head split (heads are
+    contiguous slices of each of q, k, v), softmax(q k^T / sqrt(d / heads)),
+    the weighted sum of v, the head merge and the output projection. All
+    leading axes are batch. Returns the output Tensor and the attention
+    probabilities [prod(lead), heads, t, t] as an ndarray.
+    """
+    if x.ndim < 2:
+        raise DimensionError(f"attention needs [..., tokens, dim] input, got {x.shape}")
+    *lead, t, d = x.shape
+    _check_affine("attention qkv", x, d, wqkv, bqkv)
+    _check_affine("attention proj", x, d, wproj, bproj)
+    if wqkv.shape[1] != 3 * d or d % heads:
+        raise DimensionError(f"attention: qkv width {wqkv.shape[1]} is not 3 x {d} "
+                             f"split over {heads} heads")
+    bsz = math.prod(lead)
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    x2 = x.data.reshape((bsz, t, d))
+    qkv = np.matmul(x2, wqkv.data)
+    qkv += bqkv.data
+    q, k, v = _split_heads(qkv, heads)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= c
+    probs = _softmax(scores, -1)
+    del scores
+    merged = np.matmul(probs, v).transpose((0, 2, 1, 3)).reshape((bsz, t, d))
+    out_data = np.matmul(merged, wproj.data)
+    out_data += bproj.data
+
+    def bw(g):
+        g = g.reshape((bsz, t, wproj.shape[1]))
+        dm = _linear_grad(merged, wproj, bproj, g)
+        do = np.ascontiguousarray(dm.reshape((bsz, t, heads, dh)).transpose((0, 2, 1, 3)))
+        del dm
+        q, k, v = _split_heads(qkv, heads)
+        dp = np.matmul(do, np.swapaxes(v, -1, -2))
+        dv = np.matmul(np.swapaxes(probs, -1, -2), do)
+        del do
+        ds = _softmax_grad(dp, probs, -1)
+        del dp
+        ds *= c
+        dq = np.matmul(ds, k)
+        dkt = np.matmul(np.swapaxes(q, -1, -2), ds)
+        del ds
+        dqkv = np.zeros_like(qkv)
+        parts = dqkv.reshape((bsz, t, 3, heads, dh))
+        parts[:, :, 0] += dq.transpose((0, 2, 1, 3))
+        parts[:, :, 1] += dkt.transpose((0, 3, 1, 2))
+        parts[:, :, 2] += dv.transpose((0, 2, 1, 3))
+        del dq, dkt, dv
+        dx = _linear_grad(x2, wqkv, bqkv, dqkv)
+        if x.requires_grad:
+            x._accum(dx.reshape(x.shape), owned=True)
+
+    out = _from_op(out_data.reshape(tuple(lead) + out_data.shape[-2:]),
+                   (x, wqkv, bqkv, wproj, bproj), bw)
+    return out, probs
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """fc1 -> tanh-GELU -> fc2 over the last axis of x, one graph node.
+
+    The GELU is ``gelu``'s chunked expression. When the op records a graph
+    it keeps fc1's output and tanh(u), and backward recomputes the GELU
+    output for fc2's weight gradient; otherwise the GELU runs in place over
+    fc1's output with chunk-sized scratch.
+    """
+    _check_affine("ffn fc1", x, x.shape[-1], w1, b1)
+    _check_affine("ffn fc2", x, w1.shape[1], w2, b2)
+    params = (x, w1, b1, w2, b2)
+    h = np.matmul(x.data, w1.data)
+    h += b1.data
+    if not _records(params):
+        for (hc,) in flat_chunks(h):
+            tc = np.empty_like(hc)
+            _gelu_tanh(hc, tc)
+            _gelu_out(hc, tc, hc)
+        out_data = np.matmul(h, w2.data)
+        out_data += b2.data
+        return _from_op(out_data, params, None)
+    t = np.empty_like(h)
+    a = np.empty_like(h)
+    _gelu_into(h, t, a)
+    out_data = np.matmul(a, w2.data)
+    out_data += b2.data
+    del a
+
+    def bw(g):
+        a = np.empty_like(h)
+        for hc, tc, ac in flat_chunks(h, t, a):
+            _gelu_out(hc, tc, ac)
+        da = _linear_grad(a, w2, b2, g)
+        _gelu_grad_into(h, t, da, a)  # a now holds fc1's output gradient
+        del da
+        dx = _linear_grad(x.data, w1, b1, a)
+        if x.requires_grad:
+            x._accum(dx, owned=True)
+
+    return _from_op(out_data, params, bw)

@@ -175,12 +175,13 @@ def predict(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid",
     was_training = model.training
     model.eval()
     preds = []
-    with T.no_grad():
-        for i in range(0, n, batch_size):
-            logits = model(_model_input(inputs[np.arange(i, min(i + batch_size, n))]))
-            preds.append(np.argmax(logits.data, axis=1))
-    if was_training:
-        model.train()
+    try:
+        with T.no_grad():
+            for i in range(0, n, batch_size):
+                logits = model(_model_input(inputs[np.arange(i, min(i + batch_size, n))]))
+                preds.append(np.argmax(logits.data, axis=1))
+    finally:
+        model.train(was_training)
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
 

@@ -319,14 +319,14 @@ def test_gradcheck_corrupted_backward_exits_nonzero(toy_cfg, monkeypatch, capsys
     """Sentinel: silently scaling one op's backward must trip the check."""
     from duoformer import tensor as T
 
-    real = T.gelu
+    real = T.ffn
 
-    def corrupted(x):
-        # identical forward value, gradient detached -> analytic grad loses
-        # the gelu path entirely
-        return real(x.detach()) + x * 0.0
+    def corrupted(x, *params):
+        # identical forward value, input gradient detached -> analytic grad
+        # loses the path through the FFN to everything upstream
+        return real(x.detach(), *params) + x * 0.0
 
-    monkeypatch.setattr(T, "gelu", corrupted)
+    monkeypatch.setattr(T, "ffn", corrupted)
     assert cli.main(["gradcheck", "--config", toy_cfg, "--samples", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -1,0 +1,338 @@
+"""The fused attention and FFN ops against the primitive-op graphs they replace.
+
+`tensor.attention` and `tensor.ffn` must give the values and gradients of
+the composed graphs in `oracles` bit for bit (np.array_equal, no tolerance),
+on the input layouts the model feeds them, and keep only what their
+backward reads. A retained-bytes guard pins a small model's graph so that a
+dropped intermediate cannot come back unnoticed.
+"""
+
+import numpy as np
+import pytest
+
+from duoformer import tensor as T
+from duoformer.config import DuoFormerConfig
+from duoformer.errors import DimensionError
+from duoformer.gradcheck import grad_check
+from duoformer.model import DuoFormer
+from duoformer.tensor import Tensor
+from oracles import attention_composed, ffn_composed
+
+DTYPES = (np.float32, np.float64)
+
+
+def _closure_arrays(fn):
+    """ndarrays a backward closure keeps alive, directly or through Tensors."""
+    for cell in fn.__closure__ or ():
+        try:
+            v = cell.cell_contents
+        except ValueError:  # empty cell
+            continue
+        for item in v if isinstance(v, (list, tuple)) else (v,):
+            if isinstance(item, Tensor):
+                yield item.data
+            elif isinstance(item, np.ndarray):
+                yield item
+
+
+def _root_buffer(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def graph_footprint(root: Tensor, exclude=()):
+    """(nodes, op nodes, retained bytes) of the graph under `root`.
+
+    Retained bytes are the op nodes' data plus the arrays their backward
+    closures hold, counted once per underlying buffer; the buffers of
+    `exclude` (parameters, inputs) are not counted.
+    """
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        nodes.append(n)
+        stack.extend(p for p in n._parents if p.requires_grad)
+    ops = [n for n in nodes if n._backward is not None]
+    charged = {id(_root_buffer(t.data)) for t in exclude}
+    nbytes = 0
+    for n in ops:
+        for arr in (n.data, *_closure_arrays(n._backward)):
+            buf = _root_buffer(arr)
+            if id(buf) not in charged:
+                charged.add(id(buf))
+                nbytes += buf.nbytes
+    return len(nodes), len(ops), nbytes
+
+
+# ---- fixtures ------------------------------------------------------------------------
+
+
+def _input(shape, layout, dtype, rng):
+    """A requires-grad input of `shape` in one of the layouts the model feeds."""
+    if layout == "scale_block":  # [B, N, S+1, D] viewed from a [B, S+1, N, D] buffer
+        b, n, s, d = shape
+        data = rng.standard_normal((b, s, n, d)).astype(dtype).transpose((0, 2, 1, 3))
+    else:
+        data = rng.standard_normal(shape).astype(dtype)
+    return Tensor(data, requires_grad=True)
+
+
+def _params(rng, dtype, *dims):
+    """(w, b) pairs mapping dims[0] -> dims[1] -> ..., at a generic point."""
+    out = []
+    for k, n in zip(dims[:-1], dims[1:]):
+        out.append(Tensor((rng.standard_normal((k, n)) * 0.2).astype(dtype), requires_grad=True))
+        out.append(Tensor((rng.standard_normal(n) * 0.1).astype(dtype), requires_grad=True))
+    return out
+
+
+def _attention_params(rng, dtype, d):
+    wqkv, bqkv = _params(rng, dtype, d, 3 * d)
+    wproj, bproj = _params(rng, dtype, d, d)
+    return [wqkv, bqkv, wproj, bproj]
+
+
+def _run(op, x, params, g, extra=None):
+    """Forward, then backward of sum(out * g) (+ a second consumer of x)."""
+    out = op(x, params)
+    attn = None
+    if isinstance(out, tuple):
+        out, attn = out
+    loss = (out * Tensor(g)).sum()
+    if extra is not None:
+        loss = loss + (x * Tensor(extra)).sum()
+    loss.backward()
+    return out.data, attn, [x.grad] + [p.grad for p in params]
+
+
+def _fused_attention(heads):
+    return lambda x, ps: T.attention(x, *ps, heads)
+
+
+def _composed_attention(heads):
+    return lambda x, ps: attention_composed(T, x, *ps, heads)
+
+
+def _fused_ffn(x, ps):
+    return T.ffn(x, *ps)
+
+
+def _composed_ffn(x, ps):
+    return ffn_composed(T, x, *ps)
+
+
+def _twin_runs(fused, composed, make_params, shape, layout, dtype, second_consumer):
+    """Run fused and composed on equal fresh copies of one input and parameters."""
+    results = []
+    for op in (fused, composed):
+        rng = np.random.default_rng(7)
+        x = _input(shape, layout, dtype, rng)
+        params = make_params(rng, dtype, shape[-1])
+        g = rng.standard_normal(shape).astype(dtype)
+        extra = rng.standard_normal(shape).astype(dtype) if second_consumer else None
+        results.append(_run(op, x, params, g, extra))
+    return results
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+LAYOUTS = [
+    ((3, 5, 6, 16), "scale_block"),  # [B, N, S+1, D] transposed view, as the scale block feeds
+    ((2, 7, 16), "conduit"),          # [B, N, D], as the patch attention feeds
+    ((2, 3, 2, 4, 16), "lead"),       # several leading batch axes
+    ((5, 16), "plain"),               # no leading axis
+]
+
+
+# ---- bitwise against the composed graphs -------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,layout", LAYOUTS)
+@pytest.mark.parametrize("heads", [1, 4])
+def test_attention_matches_composed_graph_bitwise(dtype, shape, layout, heads):
+    (out, attn, grads), (ref_out, ref_attn, ref_grads) = _twin_runs(
+        _fused_attention(heads), _composed_attention(heads), _attention_params,
+        shape, layout, dtype, second_consumer=heads == 4)
+    _assert_bitwise(out, ref_out)
+    _assert_bitwise(attn, ref_attn)
+    for got, want in zip(grads, ref_grads):
+        _assert_bitwise(got, want)
+
+
+def _ffn_params(rng, dtype, d):
+    return _params(rng, dtype, d, 4 * d, d)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,layout", LAYOUTS)
+@pytest.mark.parametrize("second_consumer", [False, True])
+def test_ffn_matches_composed_graph_bitwise(dtype, shape, layout, second_consumer):
+    (out, _, grads), (ref_out, _, ref_grads) = _twin_runs(
+        _fused_ffn, _composed_ffn, _ffn_params, shape, layout, dtype, second_consumer)
+    _assert_bitwise(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ffn_spanning_several_chunks_matches_composed_graph(dtype):
+    shape = (T._CHUNK // 64 + 3, 16)  # fc1's output spans several gelu chunks
+    (out, _, grads), (ref_out, _, ref_grads) = _twin_runs(
+        _fused_ffn, _composed_ffn, _ffn_params, shape, "plain", dtype, second_consumer=False)
+    _assert_bitwise(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        _assert_bitwise(got, want)
+
+
+def test_constant_input_gets_no_gradient():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((2, 3, 8)))
+    params = _attention_params(rng, np.float64, 8)
+    out, _ = T.attention(x, *params, 2)
+    T.ffn(out, *_ffn_params(rng, np.float64, 8)).sum().backward()
+    assert x.grad is None and all(p.grad is not None for p in params)
+
+
+# ---- finite differences and f32 against f64 -------------------------------------------------
+
+
+def test_attention_gradcheck_f64():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((2, 4, 3, 6)), requires_grad=True)
+    params = _attention_params(rng, np.float64, 6)
+    g = Tensor(rng.standard_normal((2, 3, 4, 6)))
+
+    def f(ps):  # the op sees the transposed scale-block layout
+        return (T.attention(ps[0].transpose((0, 2, 1, 3)), *ps[1:], 3)[0] * g).sum()
+
+    assert grad_check(f, [x] + params) < 1e-4
+
+
+def test_ffn_gradcheck_f64():
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((2, 4, 3, 5)), requires_grad=True)
+    params = _ffn_params(rng, np.float64, 5)
+    g = Tensor(rng.standard_normal((2, 3, 4, 5)))
+
+    def f(ps):
+        return (T.ffn(ps[0].transpose((0, 2, 1, 3)), *ps[1:]) * g).sum()
+
+    assert grad_check(f, [x] + params) < 1e-4
+
+
+@pytest.mark.parametrize("fused,make_params", [(_fused_attention(4), _attention_params),
+                                               (_fused_ffn, _ffn_params)])
+def test_f32_agrees_with_f64(fused, make_params):
+    runs = {}
+    for dtype in DTYPES:
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((3, 6, 16)).astype(dtype), requires_grad=True)
+        params = make_params(rng, np.float64, 16)
+        params = [Tensor(p.data.astype(dtype), requires_grad=True) for p in params]
+        g = rng.standard_normal((3, 6, 16)).astype(dtype)
+        out, _, grads = _run(fused, x, params, g)
+        runs[dtype] = [out] + grads
+    for lo, hi in zip(runs[np.float32], runs[np.float64]):
+        assert lo.dtype == np.float32
+        assert np.max(np.abs(lo - hi)) <= 1e-5 * max(1.0, np.max(np.abs(hi)))
+
+
+# ---- no_grad ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_no_grad_ffn_equals_recorded_output(dtype):
+    rng = np.random.default_rng(12)
+    x = _input((2, 5, T._CHUNK // 256 + 1, 16), "scale_block", dtype, rng)
+    params = _ffn_params(rng, dtype, 16)
+    recorded = T.ffn(x, *params)
+    with T.no_grad():
+        bare = T.ffn(x, *params)
+    assert recorded.requires_grad and not bare.requires_grad and bare._backward is None
+    _assert_bitwise(bare.data, recorded.data)
+
+
+def test_no_grad_attention_gives_recorded_probabilities():
+    rng = np.random.default_rng(13)
+    x = _input((2, 4, 5, 8), "scale_block", np.float32, rng)
+    params = _attention_params(rng, np.float32, 8)
+    out, attn = T.attention(x, *params, 2)
+    with T.no_grad():
+        bare, bare_attn = T.attention(x, *params, 2)
+    _, ref_attn = attention_composed(T, x, *params, 2)
+    assert not bare.requires_grad
+    _assert_bitwise(bare.data, out.data)
+    _assert_bitwise(bare_attn, attn)
+    _assert_bitwise(attn, ref_attn)
+
+
+# ---- contracts -----------------------------------------------------------------------------
+
+
+def test_attention_rejects_mismatched_weights():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((2, 3, 8)))
+    wqkv, bqkv, wproj, bproj = _attention_params(rng, np.float64, 8)
+    with pytest.raises(DimensionError):
+        T.attention(x, wqkv, bqkv, wproj, bproj, 3)  # 8 is not split over 3 heads
+    with pytest.raises(DimensionError):
+        T.attention(x, wproj, bproj, wproj, bproj, 2)  # qkv is [d, d]
+
+
+def test_ffn_rejects_unchained_weights():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((2, 3, 8)))
+    w1, b1, w2, b2 = _ffn_params(rng, np.float64, 8)
+    with pytest.raises(DimensionError):
+        T.ffn(x, w1, b1, w1, b1)
+
+
+# ---- what the graph keeps --------------------------------------------------------------------
+
+
+def test_attention_keeps_qkv_probabilities_merged_heads_and_output():
+    b, t, d, h = 3, 5, 8, 2
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.standard_normal((b, t, d)), requires_grad=True)
+    params = _attention_params(rng, np.float64, d)
+    out, _ = T.attention(x, *params, h)
+    nodes, ops, nbytes = graph_footprint(out, exclude=[x] + params)
+    assert (nodes, ops) == (6, 1)
+    assert nbytes == 8 * (b * t * 3 * d + b * h * t * t + b * t * d + b * t * d)
+
+
+def test_ffn_keeps_fc1_output_tanh_and_output():
+    rows, d = 7, 6
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((rows, d)), requires_grad=True)
+    params = _ffn_params(rng, np.float64, d)
+    out = T.ffn(x, *params)
+    nodes, ops, nbytes = graph_footprint(out, exclude=[x] + params)
+    assert (nodes, ops) == (6, 1)
+    assert nbytes == 8 * (2 * rows * 4 * d + rows * d)
+
+
+GUARD = dict(input_size=64, patch_count=4, embed_dim=32, heads=4, layers=1,
+             stages=(0, 1, 2, 3), channels=(4, 8, 8, 16), num_classes=3)
+
+
+def test_retained_graph_of_a_one_layer_duo_forward_is_pinned():
+    """A change that keeps more of the forward alive for backward fails here.
+
+    With the attention and FFN built from primitive ops, this graph was
+    (186, 125, 6492136): the slice copies, raw and scaled scores, the
+    pre-merge heads and the GELU output were kept too.
+    """
+    model = DuoFormer(DuoFormerConfig(seed=0, **GUARD))
+    images = Tensor(np.random.default_rng(18).standard_normal((2, 64, 64, 3)).astype(np.float32))
+    logits = model(images)
+    assert graph_footprint(logits, exclude=model.parameters()) == (146, 85, 3889128)

@@ -1,8 +1,8 @@
 """The memory-lean training-path ops against their plain numpy formulas.
 
-Each rewritten op (matmul with a fused bias, gelu, index, Adam) must give
-bit-identical values to the plain formula written out inline here: the same
-numpy operations in the same order. np.array_equal, not a tolerance.
+Each rewritten op (matmul with a fused bias, gelu, softmax, index, Adam) must
+give bit-identical values to the plain formula written out inline here: the
+same numpy operations in the same order. np.array_equal, not a tolerance.
 """
 
 import gc
@@ -130,6 +130,24 @@ def test_gelu_matches_plain_formula(dtype, shape):
     assert out.data.dtype == x.grad.dtype == dtype
     assert np.array_equal(out.data, want_out)
     assert np.array_equal(x.grad, want_grad)
+
+
+# ---- softmax -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_softmax_matches_plain_formula(dtype, axis):
+    rng = np.random.default_rng(6)
+    x0 = (rng.standard_normal((3, 4, 5)) * 3).astype(dtype)
+    g0 = rng.standard_normal((3, 4, 5)).astype(dtype)
+    x = Tensor(x0, requires_grad=True)
+    out = T.softmax(x, axis=axis)
+    (out * Tensor(g0)).sum().backward()
+    e = np.exp(x0 - x0.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    assert np.array_equal(out.data, y)
+    assert np.array_equal(x.grad, (g0 - (g0 * y).sum(axis=axis, keepdims=True)) * y)
 
 
 # ---- index ----------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from duoformer.config import DuoFormerConfig, TrainConfig
 from duoformer.data import make_synthetic, split_dataset
-from duoformer.errors import ContractError, NumericError
+from duoformer.errors import ConfigError, ContractError, NumericError
 from duoformer.model import DuoFormer, load_checkpoint
 from duoformer.tensor import Tensor
 from duoformer.trainer import (EarlyStopper, adam_init, adam_step, balanced_accuracy,
@@ -341,6 +341,15 @@ def test_predict_and_evaluate_consistency():
     assert metrics["balanced_accuracy"] == balanced_accuracy(preds, labels, 2)
     recalls = [r for r in metrics["per_class_recall"] if r is not None]
     assert np.isclose(np.mean(recalls), metrics["balanced_accuracy"])
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_failed_predict_restores_mode(training):
+    model = _toy().train(training)
+    images, _, _ = make_synthetic(classes=2, samples=3, size=64, seed=0)
+    with pytest.raises(ConfigError, match="input_size"):
+        predict(model, images)  # 64 px images on a 32 px model
+    assert all(m.training is training for m in model.modules())
 
 
 # ---- frozen-backbone (pyramid) training -----------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from duoformer.backbone import FeaturePyramid, save_pyramid
 from duoformer.data import load_dataset
 from duoformer.model import DuoFormer
-from duoformer.tensor import Tensor
+from duoformer.tensor import Tensor, no_grad
 from duoformer.config import parse_config
 
 
@@ -43,13 +43,14 @@ def main(argv=None) -> int:
     model.eval()  # BN in batch-stats mode would leak chunk boundaries
 
     chunks = {i: [] for i in model.stage_indices}
-    for lo in range(0, len(images), args.batch_size):
-        batch = Tensor(images[lo:lo + args.batch_size], dtype=cfg.dtype)
-        pyr = model.backbone(batch)
-        for idx, feat in pyr.stages:
-            chunks[idx].append(feat.data)
-        print(f"\r{min(lo + args.batch_size, len(images))}/{len(images)}",
-              end="", flush=True)
+    with no_grad():  # features only: no batch needs a graph
+        for lo in range(0, len(images), args.batch_size):
+            batch = Tensor(images[lo:lo + args.batch_size], dtype=cfg.dtype)
+            pyr = model.backbone(batch)
+            for idx, feat in pyr.stages:
+                chunks[idx].append(feat.data)
+            print(f"\r{min(lo + args.batch_size, len(images))}/{len(images)}",
+                  end="", flush=True)
     print()
 
     stages = [(i, Tensor(np.concatenate(chunks[i], axis=0))) for i in model.stage_indices]

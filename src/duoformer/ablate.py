@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .backbone import STAGE_INDICES
 from .config import DuoFormerConfig, TrainConfig
 from .errors import ConfigError
 from .model import DuoFormer, count_parameters
@@ -59,7 +60,7 @@ def suite_grid(suite: str, input_size: int, num_classes: int):
             ("avg_tokens", base(readout="avg_tokens", scale_token_mode="none")),
         ]
     if suite == "stages":
-        subsets = [(3,), (2, 3), (1, 3), (1, 2, 3), (0, 1, 2, 3)]
+        subsets = [(3,), (2, 3), (1, 3), (1, 2, 3), STAGE_INDICES]
         return [("stages_" + "".join(map(str, s)), base(stages=s)) for s in subsets]
     if suite == "heads-layers":
         # embed 12 on purpose: heads=8 does not divide it and must be skipped,

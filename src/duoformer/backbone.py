@@ -20,6 +20,15 @@ from .tensor import Tensor
 STAGE_INDICES = (0, 1, 2, 3)
 
 
+def stage_set(stages) -> "tuple[int, ...]":
+    """`stages` sorted and deduplicated; raises unless a non-empty subset of STAGE_INDICES."""
+    out = tuple(sorted(set(stages)))
+    if not out or any(s not in STAGE_INDICES for s in out):
+        raise ConfigError(f"invalid stage subset {tuple(stages)}: stages must be a non-empty "
+                          f"subset of {STAGE_INDICES}")
+    return out
+
+
 def stage_extent(input_size: int, stage: int) -> int:
     """P_i = H / (4 * 2**i); raises when not an exact integer."""
     denom = 4 * 2 ** stage
@@ -46,15 +55,15 @@ class FeaturePyramid:
                 raise ContractError("stage indices must be strictly increasing")
             last = idx
             if feat.ndim != 4 or feat.shape[1] != feat.shape[2]:
-                raise ContractError(f"stage {idx} features must be [B,P,P,C], got {feat.shape}")
+                raise ContractError(f"stage{idx} features must be [B,P,P,C], got {feat.shape}")
             p = stage_extent(self.input_size, idx)
             if feat.shape[1] != p:
-                raise ContractError(
-                    f"stage {idx} spatial extent {feat.shape[1]} != H/(4*2^{idx}) = {p}")
+                raise ContractError(f"stage{idx} spatial extent {feat.shape[1]} != "
+                                    f"H/(4*2^{idx}) = {p} for input size {self.input_size}")
             if batch is None:
                 batch = feat.shape[0]
             elif feat.shape[0] != batch:
-                raise ContractError(f"stage {idx} batch extent {feat.shape[0]} != {batch}")
+                raise ContractError(f"stage{idx} batch extent {feat.shape[0]} != {batch}")
 
     @property
     def batch(self) -> int:
@@ -105,11 +114,10 @@ class ToyBackbone(Module):
 
     def __init__(self, channels, stream, stages=STAGE_INDICES, dtype=np.float32):
         super().__init__()
-        if len(channels) != 4:
-            raise ConfigError(f"backbone needs 4 channel widths, got {list(channels)}")
-        stages = tuple(sorted(set(stages)))
-        if not stages or any(s not in STAGE_INDICES for s in stages):
-            raise ConfigError(f"invalid stage subset {stages}")
+        if len(channels) != len(STAGE_INDICES):
+            raise ConfigError(f"backbone needs {len(STAGE_INDICES)} channel widths, "
+                              f"got {list(channels)}")
+        stages = stage_set(stages)
         object.__setattr__(self, "stages", stages)
         prev = 3
         for i, c in enumerate(channels[:stages[-1] + 1]):
@@ -119,14 +127,13 @@ class ToyBackbone(Module):
             prev = c
 
     def forward(self, images: Tensor) -> FeaturePyramid:
-        """images: [B, H, W, 3] channel-last, H == W divisible by 32."""
+        """images: [B, H, W, 3] channel-last, H == W with a whole extent at every built stage."""
         if images.ndim != 4 or images.shape[3] != 3:
             raise ConfigError(f"expected [B,H,W,3] images, got {images.shape}")
         b, h, w, _ = images.shape
         if h != w:
             raise ConfigError(f"input must be square, got {h}x{w}")
-        if h % 32:
-            raise ConfigError(f"input size {h} not divisible by 32")
+        stage_extent(h, self.stages[-1])  # divides for the deepest stage, so for all
         x = images.transpose((0, 3, 1, 2))
         out = []
         for i in range(self.stages[-1] + 1):
@@ -134,6 +141,9 @@ class ToyBackbone(Module):
             if i in self.stages:
                 out.append((i, x.transpose((0, 2, 3, 1))))
         return FeaturePyramid(out, input_size=h)
+
+
+_STAGE_ENTRIES = {f"stage{i}": i for i in STAGE_INDICES}
 
 
 def save_pyramid(path, pyramid: FeaturePyramid) -> None:
@@ -144,6 +154,7 @@ def save_pyramid(path, pyramid: FeaturePyramid) -> None:
 
 
 def load_pyramid(path) -> FeaturePyramid:
+    """Read a pyramid container; a failed FeaturePyramid check is a FormatError."""
     entries = load_tensors(path)
     if "input_size" not in entries:
         raise FormatError("pyramid container lacks an 'input_size' entry")
@@ -151,29 +162,12 @@ def load_pyramid(path) -> FeaturePyramid:
     if input_size.ndim != 0 or input_size.dtype != np.int64:
         raise FormatError(f"pyramid 'input_size' must be a rank-0 i64 entry, got "
                           f"{input_size.dtype} of shape {input_size.shape}")
-    input_size = int(input_size)
     stages = []
     for name, arr in entries.items():
-        if not (name.startswith("stage") and name[5:].isdigit()):
+        if name not in _STAGE_ENTRIES:
             raise FormatError(f"unexpected entry {name!r} in pyramid container")
-        idx = int(name[5:])
-        if idx not in STAGE_INDICES:
-            raise FormatError(f"entry {name!r}: stage index out of range")
-        if arr.ndim != 4 or arr.shape[1] != arr.shape[2]:
-            raise FormatError(f"entry {name!r}: expected [B,P,P,C], got {arr.shape}")
-        try:
-            p = stage_extent(input_size, idx)
-        except ConfigError as e:
-            raise FormatError(f"entry {name!r}: {e}") from e
-        if arr.shape[1] != p:
-            raise FormatError(f"entry {name!r}: spatial extent {arr.shape[1]} != "
-                              f"H/(4*2^{idx}) = {p} for input_size {input_size}")
-        stages.append((idx, Tensor(arr.astype(np.float32))))
-    stages.sort(key=lambda t: t[0])
-    batches = {feat.shape[0] for _, feat in stages}
-    if len(batches) > 1:
-        raise FormatError(f"inconsistent batch extents across stages: {sorted(batches)}")
+        stages.append((_STAGE_ENTRIES[name], Tensor(arr.astype(np.float32))))
     try:
-        return FeaturePyramid(stages, input_size=input_size)
-    except ContractError as e:
-        raise FormatError(str(e)) from e
+        return FeaturePyramid(sorted(stages, key=lambda t: t[0]), input_size=int(input_size))
+    except (ConfigError, ContractError) as e:
+        raise FormatError(f"pyramid {path}: {e}") from e

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .backbone import STAGE_INDICES, stage_set
 from .errors import ConfigError
 from .tensor import DTYPES
+from .tokenizer import patch_grid, tokens_per_patch
 
 SCALE_TOKEN_MODES = ("fused", "learnable", "none")
 READOUTS = ("scale_token_patch_attn", "first_token", "avg_tokens", "scale_attn_only_fc")
@@ -36,8 +38,8 @@ class DuoFormerConfig:
     embed_dim: int = 768
     heads: int = 8
     layers: int = 6
-    stages: "tuple[int, ...]" = (0, 1, 2, 3)
-    channels: "tuple[int, ...]" = (256, 512, 1024, 2048)
+    stages: tuple[int, ...] = STAGE_INDICES
+    channels: tuple[int, ...] = (256, 512, 1024, 2048)
     scale_token_mode: str = "fused"
     readout: str = "scale_token_patch_attn"
     attention_mode: str = "duo"
@@ -46,17 +48,13 @@ class DuoFormerConfig:
     pos_patch: bool = True
     dtype: str = "f32"
     seed: int = 0
-    patch_only_layers: "int | None" = None  # None -> use `layers`
+    patch_only_layers: int | None = None  # None -> use `layers`
 
     def validate(self) -> "DuoFormerConfig":
-        from .tokenizer import patch_grid, tokens_per_patch  # local: avoids import cycle
-
         if self.input_size <= 0:
             raise ConfigError(f"input_size must be positive, got {self.input_size}")
         patch_grid(self.patch_count)
-        stages = tuple(sorted(set(self.stages)))
-        if not stages or any(s not in (0, 1, 2, 3) for s in stages):
-            raise ConfigError(f"stages must be a non-empty subset of {{0,1,2,3}}, got {self.stages}")
+        stages = stage_set(self.stages)
         # P' per stage (raises naming the stage); the deepest one anchors the patch grid
         pps = [tokens_per_patch(self.input_size, self.patch_count, s) for s in stages]
         deepest, deepest_pp = stages[-1], pps[-1]
@@ -65,8 +63,9 @@ class DuoFormerConfig:
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if len(self.channels) != 4 or any(c < 1 for c in self.channels):
-            raise ConfigError(f"channels must be 4 positive widths, got {self.channels}")
+        if len(self.channels) != len(STAGE_INDICES) or any(c < 1 for c in self.channels):
+            raise ConfigError(f"channels must be {len(STAGE_INDICES)} positive widths, "
+                              f"got {self.channels}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.dtype not in DTYPES:
@@ -161,18 +160,12 @@ def _parse_opt_int(s: str):
     return None if s.lower() == "none" else int(s)
 
 
-_CONVERTERS = {
-    "input_size": int, "patch_count": int, "embed_dim": int, "heads": int, "layers": int,
-    "stages": _parse_int_tuple, "channels": _parse_int_tuple,
-    "scale_token_mode": str, "readout": str, "attention_mode": str,
-    "num_classes": int, "pos_scale": _parse_bool, "pos_patch": _parse_bool,
-    "dtype": str, "seed": int, "patch_only_layers": _parse_opt_int,
-    "batch_size": int, "max_epochs": int, "patience": int,
-    "max_lr": float, "beta1": float, "beta2": float, "weight_decay": float,
-    "pct_start": float, "div_factor": float, "final_div_factor": float,
-    "val_fraction": float, "test_fraction": float,
-}
-
+# A key's parser follows from its field's annotation (a string under
+# `from __future__ import annotations`); a field of any other type fails here.
+_TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+                 "tuple[int, ...]": _parse_int_tuple, "int | None": _parse_opt_int}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type]
+            for cls in (DuoFormerConfig, TrainConfig) for f in fields(cls)}
 _MODEL_FIELDS = [f.name for f in fields(DuoFormerConfig)]
 _TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name != "seed"]
 
@@ -188,12 +181,12 @@ def parse_config(text: str) -> "tuple[DuoFormerConfig, TrainConfig]":
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONVERTERS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _CONVERTERS[key](val)
+            values[key] = _PARSERS[key](val)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from e
     model_kwargs = {k: v for k, v in values.items() if k in _MODEL_FIELDS}

@@ -2,8 +2,8 @@
 
 Layout is NCHW throughout. conv2d lowers to a GEMM over sliding windows;
 its input gradient is rebuilt with a k*k strided scatter (cheap: kernels
-here are at most 3x3). max_pool2d only supports kernel == stride, which is
-the only mode the pyramid uses.
+here are at most 3x3). max_pool2d pools non-overlapping k x k windows, the
+only pooling the pyramid uses.
 """
 
 from __future__ import annotations
@@ -64,11 +64,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     return _from_op(out_data, parents, bw)
 
 
-def max_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
-    """Non-overlapping max pool; ties route the gradient to the first cell."""
-    stride = k if stride is None else stride
-    if stride != k:
-        raise ContractError(f"max_pool2d only supports kernel == stride, got k={k} stride={stride}")
+def max_pool2d(x: Tensor, k: int) -> Tensor:
+    """Non-overlapping k x k max pool; ties route the gradient to the first cell."""
     if x.ndim != 4:
         raise DimensionError(f"max_pool2d expects [B,C,H,W], got {x.shape}")
     bsz, c, h, w = x.shape

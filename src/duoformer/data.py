@@ -60,7 +60,7 @@ def make_synthetic(classes: int = 4, samples: int = 256, size: int = 64,
                    seed: int = 0) -> "tuple[np.ndarray, np.ndarray, list[str]]":
     """In-memory dataset: images [n, size, size, 3] f32, labels [n] i64."""
     if size < 32:
-        raise ConfigError(f"size must be >= 32 (backbone needs /32 divisibility), got {size}")
+        raise ConfigError(f"size must be >= 32 (one cell at stage 3 of the backbone), got {size}")
     names = class_names(classes)
     n_tex = len(TEXTURE_PERIODS) if classes == 4 else 1
     stream = SeedStream(seed).child("synthetic")

@@ -66,16 +66,16 @@ def grad_check_report(f, named_params: "dict[str, Tensor]", h: float = 1e-5,
 
     report: "dict[str, float]" = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
         aflat = analytic[name].reshape(-1)
         worst = 0.0
         for i in _coords(p, sample, rng):
-            orig = flat[i]
-            flat[i] = orig + h
+            at = np.unravel_index(i, p.shape)  # into p.data itself, whatever its strides
+            orig = p.data[at]
+            p.data[at] = orig + h
             fp = _eval_scalar(f, params)
-            flat[i] = orig - h
+            p.data[at] = orig - h
             fm = _eval_scalar(f, params)
-            flat[i] = orig
+            p.data[at] = orig
             numeric = (fp - fm) / (2.0 * h)
             a = aflat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)

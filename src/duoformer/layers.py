@@ -118,9 +118,9 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng, std: float = 0.02, dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng, dtype=np.float32):
         super().__init__()
-        self.w = Tensor(trunc_normal(rng, (d_in, d_out), std=std, dtype=dtype), requires_grad=True)
+        self.w = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype), requires_grad=True)
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def forward(self, x):
@@ -128,14 +128,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-6, dtype=np.float32):
+    def __init__(self, d: int, dtype=np.float32):
         super().__init__()
         self.gamma = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        object.__setattr__(self, "eps", eps)
 
     def forward(self, x):
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Conv2d(Module):
@@ -157,16 +156,13 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, c: int, dtype=np.float32):
         super().__init__()
         self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
         self.register_state("running_mean", np.zeros(c, dtype=np.float64))
         self.register_state("running_var", np.ones(c, dtype=np.float64))
-        object.__setattr__(self, "momentum", momentum)
-        object.__setattr__(self, "eps", eps)
 
     def forward(self, x):
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          mode="train" if self.training else "eval",
-                          momentum=self.momentum, eps=self.eps)
+                          mode="train" if self.training else "eval")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from . import serialize
-from .backbone import FeaturePyramid, ToyBackbone
+from .backbone import FeaturePyramid, ToyBackbone, stage_set
 from .attention import DuoEncoder, PatchEncoder
 from .config import DuoFormerConfig, TrainConfig, parse_config, serialize_config
 from .errors import ConfigError, ContractError, FormatError
@@ -36,7 +36,7 @@ class DuoFormer(Module):
         object.__setattr__(self, "cfg", cfg)
         dtype = DTYPES[cfg.dtype]
         stream = SeedStream(cfg.seed)
-        stages = tuple(sorted(set(cfg.stages)))
+        stages = stage_set(cfg.stages)
         if cfg.attention_mode == "patch_only":
             stages = stages[-1:]  # the hybrid baseline tokenizes the deepest stage only
         object.__setattr__(self, "stage_indices", stages)

@@ -102,7 +102,7 @@ class LearnableScaleToken(Module):
     def __init__(self, n_patches: int, embed_dim: int, stream, dtype=np.float32):
         super().__init__()
         rng = stream.child("token").generator()
-        self.token = Tensor(trunc_normal(rng, (n_patches, embed_dim), std=0.02, dtype=dtype),
+        self.token = Tensor(trunc_normal(rng, (n_patches, embed_dim), dtype=dtype),
                             requires_grad=True)
 
     def forward(self, pyramid: FeaturePyramid) -> Tensor:

@@ -62,7 +62,9 @@ def read_dft1(f) -> np.ndarray:
     left = f.seek(0, io.SEEK_END) - pos
     f.seek(pos)
     if nbytes > left:
-        raise FormatError(f"truncated file: extents {shape} need {nbytes} payload bytes, "
+        # a hostile count can pass int-to-str's 4300-digit limit, so a large one is not printed
+        need = nbytes if nbytes < 2 ** 64 else "over 2**64"
+        raise FormatError(f"truncated file: extents {shape} need {need} payload bytes, "
                           f"{left} remain")
     payload = _read_exact(f, nbytes, "payload")
     try:

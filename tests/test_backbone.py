@@ -53,6 +53,14 @@ def test_rejects_indivisible_input():
         _backbone()(_images(1, 48))
 
 
+def test_input_rule_follows_the_deepest_built_stage():
+    # 48 px has whole extents through stage 2 (48 / 16 = 3) but not stage 3
+    pyr = _backbone(stages=(0, 1, 2))(_images(1, 48))
+    assert [f.shape[1] for _, f in pyr.stages] == [12, 6, 3]
+    with pytest.raises(ConfigError, match="16"):
+        _backbone(stages=(0, 1, 2))(_images(1, 40))
+
+
 def test_rejects_non_square():
     bb = _backbone()
     x = Tensor(np.zeros((1, 32, 64, 3), dtype=np.float32))
@@ -218,4 +226,27 @@ def test_load_pyramid_requires_scalar_i64_input_size(tmp_path, input_size):
     p = tmp_path / "pyr.dfc"
     save_tensors(p, {"stage2": np.zeros((1, 2, 2, 8), np.float32), "input_size": input_size})
     with pytest.raises(FormatError, match="input_size"):
+        load_pyramid(p)
+
+
+@pytest.mark.parametrize("name", ["stage\u00b3", "stage01", "stage4", "stage-1", "stage"])
+def test_load_pyramid_rejects_unknown_stage_names(tmp_path, name):
+    from duoformer.serialize import save_tensors
+    p = tmp_path / "pyr.dfc"
+    save_tensors(p, {name: np.zeros((1, 7, 7, 8), np.float32),
+                     "input_size": np.array(224, np.int64)})
+    with pytest.raises(FormatError, match="unexpected entry"):
+        load_pyramid(p)
+
+
+@pytest.mark.parametrize("entries", [
+    {},  # no stage at all
+    {"stage2": np.zeros((1, 7, 7, 8), np.float32)},  # 30 px: no whole stage-2 extent
+    {"stage2": np.zeros((7, 7, 8), np.float32)},  # rank 3
+], ids=["empty", "indivisible", "rank3"])
+def test_load_pyramid_reports_pyramid_checks_as_format_errors(tmp_path, entries):
+    from duoformer.serialize import save_tensors
+    p = tmp_path / "pyr.dfc"
+    save_tensors(p, dict(entries, input_size=np.array(30, np.int64)))
+    with pytest.raises(FormatError):
         load_pyramid(p)

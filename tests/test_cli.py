@@ -151,6 +151,17 @@ def test_tokenize_pyramid_non_scalar_input_size_exits_3(tmp_path, toy_cfg, capsy
     assert "input_size" in capsys.readouterr().err
 
 
+def test_tokenize_pyramid_unknown_stage_name_exits_3(tmp_path, toy_cfg, capsys):
+    from duoformer.serialize import save_tensors
+
+    pyr = tmp_path / "pyr.dfc"  # "³" passes str.isdigit() but not int()
+    save_tensors(pyr, {"stage\u00b3": np.zeros((1, 1, 1, 32), np.float32),
+                       "input_size": np.array(32, np.int64)})
+    assert cli.main(["tokenize", "--config", toy_cfg, "--pyramid", str(pyr),
+                     "--out", str(tmp_path / "t.dft")]) == 3
+    assert "unexpected entry" in capsys.readouterr().err
+
+
 # ---- train / eval ------------------------------------------------------------------
 
 
@@ -194,6 +205,36 @@ def test_train_shallow_fused_subset_exits_2(tmp_path, dataset, capsys):
     assert cli.main(["train", "--config", str(cfg), "--data", dataset,
                      "--out", str(tmp_path / "r")]) == 2
     assert "P'" in capsys.readouterr().err
+
+
+def test_train_48px_three_stage_fused_config(tmp_path):
+    # 48 px is whole through stage 2 (48 / 16 = 3), the deepest stage this config builds
+    data = tmp_path / "d48"
+    assert cli.main(["gen-synthetic", "--out", str(data), "--samples", "24",
+                     "--size", "48"]) == 0
+    cfg = tmp_path / "48.cfg"
+    cfg.write_text(TOY_CFG.replace("input_size = 32", "input_size = 48")
+                   .replace("patch_count = 4", "patch_count = 9")
+                   .replace("max_epochs = 4", "max_epochs = 1")
+                   .replace("patience = 4", "patience = 1"))
+    assert cli.main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 0
+
+
+# rank 255, every extent 2**64 - 1: the payload byte count has over 4300 decimal digits
+HOSTILE_DFT1 = b"DFT1\x00\xff" + b"\xff" * 8 * 255
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_hostile_images_header_exits_3(tmp_path, toy_cfg, dataset, command, capsys):
+    with open(os.path.join(dataset, "images.dft"), "wb") as f:
+        f.write(HOSTILE_DFT1)
+    if command == "train":
+        argv = ["train", "--config", toy_cfg, "--out", str(tmp_path / "r")]
+    else:
+        argv = ["eval", "--checkpoint", _toy_checkpoint(tmp_path, lambda e: None)]
+    assert cli.main(argv + ["--data", dataset]) == 3
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_train_missing_data_exits_3(tmp_path, toy_cfg):
@@ -248,6 +289,24 @@ def test_export_pyramid_feeds_f64_train(tmp_path, dataset, _export_pyramid):
                                  "--out", str(pyr)]) == 0
     assert cli.main(["train", "--config", str(cfg), "--data", dataset,
                      "--out", str(tmp_path / "run"), "--pyramid", str(pyr)]) == 0
+
+
+def test_export_pyramid_records_no_graph(tmp_path, toy_cfg, dataset, _export_pyramid,
+                                         monkeypatch):
+    from duoformer.backbone import ToyBackbone
+
+    real, feats = ToyBackbone.forward, []
+
+    def forward(self, images):
+        pyr = real(self, images)
+        feats.extend(feat for _, feat in pyr.stages)
+        return pyr
+
+    monkeypatch.setattr(ToyBackbone, "forward", forward)
+    assert _export_pyramid.main(["--config", toy_cfg, "--data", dataset,
+                                 "--out", str(tmp_path / "pyr.dfc"), "--batch-size", "16"]) == 0
+    assert len(feats) == 3 * 3  # three batches of 16, three stages each
+    assert not any(f.requires_grad or f._parents for f in feats)
 
 
 def _toy_checkpoint(tmp_path, edit):

@@ -50,6 +50,19 @@ def test_parse_serialize_round_trip():
     assert again_train == train_cfg
 
 
+def test_every_key_parses_by_its_field_type():
+    # a non-default value for every key, so each type's parser is exercised
+    model_cfg = DuoFormerConfig(input_size=64, patch_count=4, embed_dim=12, heads=3, layers=1,
+                                stages=(1, 3), channels=(1, 2, 3, 4), scale_token_mode="none",
+                                readout="avg_tokens", attention_mode="patch_only",
+                                num_classes=3, pos_scale=False, pos_patch=False, dtype="f64",
+                                seed=5, patch_only_layers=2).validate()
+    train_cfg = TrainConfig(batch_size=4, max_epochs=7, patience=3, max_lr=0.25, beta1=0.5,
+                            beta2=0.75, pct_start=0.5, div_factor=2.5, final_div_factor=8.0,
+                            seed=5, val_fraction=0.125, test_fraction=0.25).validate()
+    assert parse_config(serialize_config(model_cfg, train_cfg)) == (model_cfg, train_cfg)
+
+
 def test_serialize_emits_every_key_once():
     model_cfg, train_cfg = parse_config(TOY_TEXT)
     text = serialize_config(model_cfg, train_cfg)

@@ -105,3 +105,13 @@ def test_restores_parameter_values():
     grad_check(lambda ps: (ps[0] * ps[0]).sum(), [x])
     np.testing.assert_array_equal(x.data, before)
     assert x.grad is None  # left clean for the caller
+
+
+def test_non_contiguous_parameter_is_perturbed_in_place():
+    # a transposed leaf: reshape(-1) of its data would copy, leaving the numeric gradient 0
+    w = Tensor(np.random.default_rng(5).standard_normal((4, 3)).T, requires_grad=True)
+    assert not w.data.flags.c_contiguous
+    c = np.arange(12.0).reshape(3, 4)
+    report = grad_check_report(lambda d: (d["w"] * d["w"] * Tensor(c)).sum(), {"w": w})
+    assert report["w"] < 1e-8
+    assert not w.data.flags.c_contiguous  # checked where it lives, not through a copy

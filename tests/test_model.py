@@ -281,3 +281,9 @@ def test_backbone_stops_at_deepest_configured_stage():
     m = _model(stages=(0, 1), scale_token_mode="learnable")
     assert not any(n.startswith("backbone.stage2") for n, _ in m.named_parameters())
     assert m.backbone.stages[-1] == 1
+
+
+def test_48px_three_stage_fused_model_forwards():
+    # 48 px divides 4 * 2**2 but not 32: a stage 0-2 backbone takes it
+    m = _model(input_size=48, patch_count=9, stages=(0, 1, 2), scale_token_mode="fused")
+    assert m(_images(2, 48)).shape == (2, 4)

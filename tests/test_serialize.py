@@ -201,3 +201,9 @@ def test_text_entry_rejects_out_of_range():
 def test_text_entry_rejects_non_utf8():
     with pytest.raises(FormatError, match="UTF-8"):
         ser.array_to_text(np.array([0x41, 0xFF, 0xFE], dtype=np.int64))
+
+
+def test_byte_count_past_the_int_to_str_limit_is_a_format_error():
+    # rank 255, every extent 2**64 - 1: the byte count has over 4300 decimal digits
+    with pytest.raises(FormatError, match="over 2\\*\\*64 payload bytes"):
+        ser.tensor_from_bytes(b"DFT1\x00\xff" + b"\xff" * 8 * 255)

@@ -28,8 +28,6 @@ SIZE = 64
 CLASSES = 4
 BATCH = 8
 LR = 1e-3
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def record(out_path) -> None:
@@ -77,8 +75,10 @@ def record(out_path) -> None:
 
 def run_tree(tree: str, out_path: str) -> list:
     """Record in a fresh interpreter that imports `duoformer` from `tree`."""
+    from duoformer.ablate import THREAD_VARS  # this checkout's; main puts it on sys.path
+
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-               **{var: "1" for var in THREAD_VARS})
+               **dict.fromkeys(THREAD_VARS, "1"))
     subprocess.run([sys.executable, os.path.abspath(__file__), "--record", out_path],
                    env=env, check=True)
     with open(out_path, "rb") as f:
@@ -116,6 +116,7 @@ def main(argv=None) -> int:
         ap.error("a revision is required")
 
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(repo, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "rev")
         os.mkdir(base)

@@ -3,7 +3,8 @@
 #
 #   scripts/run_ablations.sh [out_root] [extra ablate flags...]
 #
-# e.g. `scripts/run_ablations.sh runs/ablations --parallel 4`.
+# e.g. `scripts/run_ablations.sh runs/ablations --max-epochs 10`. Each suite
+# trains its runs in parallel, one single-thread-BLAS worker per available CPU.
 # Dataset geometry (64 px, 4 classes) matches the suites' stage grids; the
 # 512/128/128 train/val/test split comes from the trainer's 1/6 fractions.
 set -euo pipefail

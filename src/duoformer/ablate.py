@@ -3,18 +3,19 @@
 Each suite trains every configuration in its grid with seeds {0,1,2} on the
 provided dataset and reports per-config mean ± std of validation/test
 balanced accuracy, parameter count, and wall time — as a text table and as
-JSON. Grids are sized for the 64 px synthetic dataset; runs are sequential
-unless a worker count > 1 is requested (independent processes, no shared
-mutable state).
+JSON. Grids are sized for the 64 px synthetic dataset. Runs train in spawned
+worker processes with single-thread BLAS, one per usable CPU; a script that
+calls `run_suite` needs an `if __name__ == "__main__":` guard, as any spawn pool.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -24,6 +25,11 @@ from .config import DuoFormerConfig, TrainConfig
 from .errors import ConfigError
 from .model import DuoFormer, count_parameters
 from .trainer import train
+
+# BLAS/OpenMP pool sizes. They act only when numpy is first imported, so a
+# process is pinned by setting them before it starts.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 SUITE_NAMES = ("attention", "scale-token", "stages", "heads-layers")
 SEED_SET = (0, 1, 2)
@@ -86,8 +92,7 @@ class RunResult:
     seconds: float
 
 
-# Worker-process dataset; set once per pool (or once, in-process, when
-# sequential) so jobs don't each carry a copy of the images.
+# Worker-process dataset, set once per worker so jobs don't each carry a copy.
 _DATA = None
 
 
@@ -106,21 +111,36 @@ def _single_run(job) -> RunResult:
                      count_parameters(model)["total"], time.perf_counter() - t0)
 
 
+@contextmanager
+def _worker_pool(workers: int, images, labels):
+    """Spawned workers with single-thread BLAS (a forked one keeps the parent's pool)."""
+    saved = {var: os.environ[var] for var in THREAD_VARS if var in os.environ}
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_init_pool,
+                                 initargs=(images, labels)) as pool:
+            yield pool
+    finally:
+        for var in THREAD_VARS:
+            os.environ.pop(var, None)
+        os.environ.update(saved)
+
+
 def run_suite(suite: str, images: np.ndarray, labels: np.ndarray,
               out_dir: "str | None" = None, seeds=SEED_SET,
-              train_cfg: TrainConfig = SUITE_TRAIN, workers: int = 1,
-              log=None) -> dict:
+              train_cfg: TrainConfig = SUITE_TRAIN, log=None) -> dict:
     """Run one suite end to end; `log` gets a line per finished run. Returns the report."""
+    train_cfg.validate()
     grid = suite_grid(suite, int(images.shape[1]), int(labels.max()) + 1)
     jobs = [(config_id, replace(cfg, seed=s), replace(train_cfg, seed=s))
             for config_id, cfg in grid for s in seeds]
 
-    _init_pool(images, labels)  # the sequential path runs jobs in this process
     results = []
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                              initargs=(images, labels))
-          if workers > 1 else nullcontext()) as pool:
-        for res in (pool.map if pool else map)(_single_run, jobs):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with _worker_pool(min(len(jobs), cpus or 1), images, labels) as pool:
+        for res in pool.map(_single_run, jobs):
             if log is not None:
                 log(f"{res.config_id} seed {res.seed}: "
                     f"val {res.val_balanced_acc:.3f} test {res.test_balanced_acc:.3f} "

@@ -93,10 +93,9 @@ class _Stage(Module):
 
     def __init__(self, c_in: int, c_out: int, rng, second_stride: int, dtype=np.float32):
         super().__init__()
-        self.conv1 = Conv2d(c_in, c_out, 3, rng, stride=2, padding=1, bias=False, dtype=dtype)
+        self.conv1 = Conv2d(c_in, c_out, 3, rng, stride=2, padding=1, dtype=dtype)
         self.bn1 = BatchNorm2d(c_out, dtype=dtype)
-        self.conv2 = Conv2d(c_out, c_out, 3, rng, stride=second_stride, padding=1,
-                            bias=False, dtype=dtype)
+        self.conv2 = Conv2d(c_out, c_out, 3, rng, stride=second_stride, padding=1, dtype=dtype)
         self.bn2 = BatchNorm2d(c_out, dtype=dtype)
 
     def forward(self, x):

@@ -11,10 +11,11 @@ Exit codes (stable contract):
 `gradcheck` additionally exits 1 when the check itself fails — the run
 completed, but a parameter group exceeded the tolerance.
 
-`--deterministic` re-execs the interpreter with BLAS thread pools pinned to a
-single thread. The pinning env vars only act when numpy is first imported,
-which by the time flags are parsed has already happened — hence the re-exec.
-Seeds are untouched; the flag only removes thread-count nondeterminism.
+`--deterministic` re-execs the interpreter with BLAS thread pools pinned to one
+thread: the pinning env vars act only when numpy is first imported, which has
+happened by the time flags are parsed. Seeds are untouched; the flag only
+removes thread-count nondeterminism. `ablate` needs no flag: every run trains
+in a spawned worker with single-thread BLAS, one worker per available CPU.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .ablate import SUITE_NAMES, SUITE_TRAIN, format_table, run_suite
+from .ablate import SUITE_NAMES, SUITE_TRAIN, THREAD_VARS, format_table, run_suite
 from .backbone import load_pyramid
 from .config import parse_config, serialize_config
 from .data import gen_synthetic, load_dataset, split_dataset
@@ -40,14 +41,11 @@ from .serialize import load_tensor, save_tensor
 from .tensor import Tensor
 from .trainer import evaluate, train
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 _GUARD = "DUOFORMER_DETERMINISTIC"
 
 
 def _reexec_deterministic(argv):
-    env = dict(os.environ, **{var: "1" for var in _THREAD_VARS})
-    env[_GUARD] = "1"
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS + (_GUARD,), "1"))
     os.execve(sys.executable, [sys.executable, "-m", "duoformer.cli"] + argv, env)
 
 
@@ -190,10 +188,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     images, labels = load_dataset(args.data)
+    # patience >= max_epochs never stops early, so the cap changes no run
     train_cfg = replace(SUITE_TRAIN, batch_size=args.batch_size, max_epochs=args.max_epochs,
-                        patience=args.patience, max_lr=args.max_lr)
+                        patience=min(args.patience, args.max_epochs), max_lr=args.max_lr)
     report = run_suite(args.suite, images, labels, out_dir=args.out,
-                       train_cfg=train_cfg, workers=args.parallel, log=_log)
+                       train_cfg=train_cfg, log=_log)
     print(format_table(report))
     print(f"wrote {os.path.join(args.out, 'report.txt')} and report.json")
     return 0
@@ -263,16 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--suite", required=True, choices=SUITE_NAMES, help="which grid")
     ab.add_argument("--data", required=True, help="dataset directory")
     ab.add_argument("--out", required=True, help="report directory")
-    ab.add_argument("--parallel", type=int, nargs="?", const=os.cpu_count() or 2,
-                    default=1, metavar="N",
-                    help="train N configs at once (bare flag = CPU count; default "
-                         "sequential)")
     ab.add_argument("--max-epochs", type=int, default=SUITE_TRAIN.max_epochs,
                     help="epoch budget per run (default %(default)s)")
     ab.add_argument("--batch-size", type=int, default=SUITE_TRAIN.batch_size,
                     help="batch size (default %(default)s)")
     ab.add_argument("--patience", type=int, default=SUITE_TRAIN.patience,
-                    help="early-stop patience (default %(default)s)")
+                    help="early-stop patience, capped at --max-epochs (default %(default)s)")
     ab.add_argument("--max-lr", type=float, default=SUITE_TRAIN.max_lr,
                     help="one-cycle peak learning rate (default %(default)s)")
     ab.set_defaults(fn=cmd_ablate)

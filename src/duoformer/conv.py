@@ -15,9 +15,9 @@ from .errors import ContractError, DimensionError, NumericError
 from .tensor import Tensor, _from_op
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> [B,O,Ho,Wo]."""
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> [B,O,Ho,Wo]; no bias, since
+    every conv here feeds a BatchNorm whose batch mean would swallow it."""
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4D input and weight, got {x.shape} and {w.shape}")
     bsz, c, h, wid = x.shape
@@ -39,16 +39,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * ho * wo, c * kh * kw)
     wmat = w.data.reshape(o, c * kh * kw)
     out = cols @ wmat.T
-    if b is not None:
-        out = out + b.data
     out_data = out.reshape(bsz, ho, wo, o).transpose(0, 3, 1, 2)
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * ho * wo, o)
         if w.requires_grad:
             w._accum((g2.T @ cols).reshape(o, c, kh, kw), owned=True)
-        if b is not None and b.requires_grad:
-            b._accum(g2.sum(axis=0))
         if x.requires_grad:
             dcols = (g2 @ wmat).reshape(bsz, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
             dxp = np.zeros((bsz, c, hp, wp), dtype=g.dtype)
@@ -60,8 +56,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                 dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
             x._accum(dxp, owned=True)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _from_op(out_data, parents, bw)
+    return _from_op(out_data, (x, w), bw)
 
 
 def max_pool2d(x: Tensor, k: int) -> Tensor:

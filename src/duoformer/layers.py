@@ -139,20 +139,15 @@ class LayerNorm(Module):
 
 class Conv2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int, rng, stride: int = 1,
-                 padding: int = 0, bias: bool = True, dtype=np.float32):
+                 padding: int = 0, dtype=np.float32):
         super().__init__()
         self.w = Tensor(kaiming_uniform(rng, (c_out, c_in, k, k), fan_in=c_in * k * k,
                                         dtype=dtype), requires_grad=True)
-        # bias=False for convs feeding BN: the batch mean would swallow it.
-        if bias:
-            self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-        else:
-            object.__setattr__(self, "b", None)
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "padding", padding)
 
     def forward(self, x):
-        return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.w, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm2d(Module):

@@ -39,8 +39,7 @@ def downsample_plan(ratio: int, stage: int) -> "tuple[bool, int]":
 class _ConvBNReLU(Module):
     def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, dtype=np.float32):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride, padding=padding,
-                           bias=False, dtype=dtype)
+        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride, padding=padding, dtype=dtype)
         self.bn = BatchNorm2d(c_out, dtype=dtype)
 
     def forward(self, x):

@@ -83,19 +83,15 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 def balanced_accuracy(predictions, labels, num_classes: int) -> float:
     """Unweighted mean per-class recall; classes absent from labels are skipped."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if labels.size == 0:
+    if np.size(labels) == 0:
         raise ContractError("balanced_accuracy needs at least one sample")
-    recalls = []
-    for c in range(num_classes):
-        sel = labels == c
-        if sel.any():
-            recalls.append(float((predictions[sel] == c).mean()))
-    return float(np.mean(recalls))
+    recalls = per_class_recall(predictions, labels, num_classes)
+    return float(np.mean([r for r in recalls if r is not None]))
 
 
 def per_class_recall(predictions, labels, num_classes: int) -> "list[float | None]":
+    """Recall of each class; None for a class absent from labels."""
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
     out = []
     for c in range(num_classes):
         sel = labels == c

@@ -432,9 +432,22 @@ def test_ablate_parallel_logs_each_finished_run(tmp_path):
     assert cli.main(["gen-synthetic", "--out", str(data), "--samples", "24"]) == 0
     images, labels = load_dataset(str(data))
     lines = []
-    run_suite("attention", images, labels, seeds=(0,), workers=2, log=lines.append,
+    run_suite("attention", images, labels, seeds=(0,), log=lines.append,
               train_cfg=TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3))
     assert [line.split()[0] for line in lines] == ["duo", "scale_only", "patch_only"]
+
+
+def test_ablate_short_budget_caps_patience(tmp_path, capsys):
+    # the default patience (10) exceeds a 2-epoch budget; it is capped, not rejected
+    data = tmp_path / "data64"
+    assert cli.main(["gen-synthetic", "--out", str(data), "--samples", "24"]) == 0
+    args = ["ablate", "--suite", "attention", "--data", str(data), "--batch-size", "8"]
+    assert cli.main(args + ["--out", str(tmp_path / "r"), "--max-epochs", "2"]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert all(len(row["per_seed"]) == 3 for row in report["rows"])
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "r0"), "--patience", "0"]) == 2
+    assert "patience" in capsys.readouterr().err
 
 
 def test_ablate_heads_layers_grid_skips_indivisible():
@@ -502,7 +515,7 @@ def test_deterministic_reexec_pins_thread_vars(monkeypatch):
     monkeypatch.setattr(os, "execve", fake_execve)
     with pytest.raises(SystemExit):
         cli.main(["--deterministic", "gen-synthetic", "--out", "x"])
-    for var in cli._THREAD_VARS:
+    for var in cli.THREAD_VARS:
         assert captured["env"][var] == "1", var
     assert captured["env"][cli._GUARD] == "1"
     assert "--deterministic" in captured["argv"]

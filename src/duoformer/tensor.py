@@ -3,8 +3,14 @@
 A Tensor wraps a row-major numpy array (f32 or f64) plus an optional
 gradient buffer. Operations build a DAG of closures; ``backward()`` on a
 scalar walks the graph once in reverse topological order and accumulates
-gradients into every reachable tensor with ``requires_grad``. Repeated
-backward calls keep accumulating until ``zero_grad``.
+gradients into every reachable tensor with ``requires_grad``.
+
+The graph is single-use. The walk consumes it: once a node's closure has
+run, the node drops its closure and its parents, so the arrays that closure
+saved are released as soon as the walk passes it, not when ``backward``
+returns. Leaf gradients accumulate across graphs until ``zero_grad``; to
+take a second gradient, run the forward again. A walk that reaches a node
+an earlier walk consumed raises ContractError before any gradient moves.
 
 All operations are stable on finite inputs (softmax subtracts the max,
 normalizations carry an epsilon); non-finite values are the caller's signal
@@ -42,10 +48,13 @@ ops with one node and a hand-written backward:
   input, ``qkv``, the softmax probabilities and the merged heads; q, k and
   v are views of ``qkv``. Neither the raw and scaled scores nor the
   pre-merge heads outlive the forward.
-* ``ffn(x, w1, b1, w2, b2)`` keeps fc1's output and ``tanh(u)``; backward
-  recomputes the GELU output for fc2's weight gradient with the same chunk
-  kernels. When the op records no graph, the GELU runs in place over fc1's
-  output with chunk-sized scratch.
+* ``ffn(x, w1, b1, w2, b2)`` keeps fc1's output and ``tanh(u)``. Its
+  backward, which runs once, consumes them: fc1's output gradient is
+  written over the GELU output's gradient, and the GELU output, which
+  fc2's weight gradient reads, is recomputed in place over fc1's output,
+  so at most three fc1-output-sized buffers are alive at once. When the
+  op records no graph, the GELU runs in place over fc1's output with
+  chunk-sized scratch.
 
 Forward and backward run the numpy operations of the composed graph in
 the same order, with the kernels the primitive ops use (``_softmax``, the
@@ -139,8 +148,10 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every requires_grad tensor in the graph.
 
-        ``self`` must be a scalar (size 1). Calling backward again without
-        ``zero_grad`` adds to the existing gradients.
+        ``self`` must be a scalar (size 1). The walk consumes the graph:
+        each node it passes drops its closure and parents (``_parents`` is
+        then None), and a later walk through such a node raises
+        ContractError. Leaf gradients add to any left by an earlier graph.
         """
         if self.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -154,16 +165,22 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ContractError("backward through a graph an earlier backward() consumed; "
+                                    "run the forward again to rebuild it")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None  # interior buffers are scratch; only leaves keep grads
+                node._backward = None
+                node._parents = None
 
     # ---- operator sugar --------------------------------------------------------
 
@@ -548,8 +565,8 @@ def _gelu_into(x: np.ndarray, t: np.ndarray, out: np.ndarray):
 
 
 def _gelu_grad_into(x: np.ndarray, t: np.ndarray, g: np.ndarray, r: np.ndarray):
-    """r = g * gelu'(x) from x and t = tanh(u), chunk by chunk; r shares no
-    memory with x, t or g."""
+    """r = g * gelu'(x) from x and t = tanh(u), chunk by chunk; r may be g.
+    Each chunk's factor is built in chunk-sized scratch before g is read."""
     # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * du),
     # du = C * (1 + 3 * A * x**2)
     for xc, tc, gc, rc in flat_chunks(x, t, g, r):
@@ -559,13 +576,13 @@ def _gelu_grad_into(x: np.ndarray, t: np.ndarray, g: np.ndarray, r: np.ndarray):
         du *= _GELU_C
         s = np.square(tc)
         np.subtract(1.0, s, out=s)
-        np.multiply(0.5, xc, out=rc)
-        rc *= s
-        rc *= du
+        f = np.multiply(0.5, xc)
+        f *= s
+        f *= du
         np.add(1.0, tc, out=s)
         s *= 0.5
-        rc += s
-        rc *= gc
+        f += s
+        np.multiply(f, gc, out=rc)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -763,9 +780,11 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """fc1 -> tanh-GELU -> fc2 over the last axis of x, one graph node.
 
     The GELU is ``gelu``'s chunked expression. When the op records a graph
-    it keeps fc1's output and tanh(u), and backward recomputes the GELU
-    output for fc2's weight gradient; otherwise the GELU runs in place over
-    fc1's output with chunk-sized scratch.
+    it keeps fc1's output h and tanh(u) t. Backward runs once and consumes
+    them: it writes fc1's output gradient over the GELU output's gradient,
+    then recomputes the GELU output in place over h for fc2's weight
+    gradient and drops t. Without a graph, the GELU runs in place over h
+    with chunk-sized scratch.
     """
     _check_affine("ffn fc1", x, x.shape[-1], w1, b1)
     _check_affine("ffn fc2", x, w1.shape[1], w2, b2)
@@ -788,13 +807,17 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     del a
 
     def bw(g):
-        a = np.empty_like(h)
-        for hc, tc, ac in flat_chunks(h, t, a):
-            _gelu_out(hc, tc, ac)
-        da = _linear_grad(a, w2, b2, g)
-        _gelu_grad_into(h, t, da, a)  # a now holds fc1's output gradient
-        del da
-        dx = _linear_grad(x.data, w1, b1, a)
+        nonlocal t
+        da = np.matmul(g, w2.data.T)
+        _gelu_grad_into(h, t, da, da)  # da now holds fc1's output gradient
+        for hc, tc in flat_chunks(h, t):
+            _gelu_out(hc, tc, hc)  # h now holds the GELU output
+        t = None
+        if b2.requires_grad:
+            b2._accum(_unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            _accum_rhs_grad(w2, h, g)
+        dx = _linear_grad(x.data, w1, b1, da)
         if x.requires_grad:
             x._accum(dx, owned=True)
 

@@ -249,7 +249,6 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
                         f"non-finite loss at epoch {epoch}, batch {b // cfg.batch_size}")
                 loss.backward()
                 losses.append(float(loss.data))
-                del logits, loss  # free the graph before Adam runs
                 lr = onecycle_lr(global_step, total_steps, cfg)
                 adam_step(params, [p.grad for p in params], state, lr,
                           betas=cfg.betas)

@@ -7,6 +7,8 @@ backward reads. A retained-bytes guard pins a small model's graph so that a
 dropped intermediate cannot come back unnoticed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,27 @@ def test_ffn_keeps_fc1_output_tanh_and_output():
     nodes, ops, nbytes = graph_footprint(out, exclude=[x] + params)
     assert (nodes, ops) == (6, 1)
     assert nbytes == 8 * (2 * rows * 4 * d + rows * d)
+
+
+def test_ffn_backward_peak_is_one_fc1_output_buffer_plus_chunk_scratch():
+    """Backward consumes the saved fc1 output and tanh(u): beyond them, it
+    allocates one fc1-output-sized buffer (the GELU gradient, then fc1's
+    output gradient in place) plus chunk scratch and input- and
+    weight-sized gradients. A backward that recomputes the GELU output
+    into a buffer of its own peaks at 2.3 fc1 outputs on this shape."""
+    rows, d, hidden = 1024, 64, 1024  # fc1's output spans 16 chunks
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((2, rows // 2, d)).astype(np.float32), requires_grad=True)
+    params = _params(rng, np.float32, d, hidden, d)
+    loss = T.ffn(x, *params).sum()
+    fc1_bytes = rows * hidden * 4
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * fc1_bytes
 
 
 GUARD = dict(input_size=64, patch_count=4, embed_dim=32, heads=4, layers=1,

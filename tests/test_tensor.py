@@ -201,10 +201,29 @@ def test_backward_sum_of_squares():
 
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = x.sum()
-    loss.backward()
-    loss.backward()
+    x.sum().backward()
+    x.sum().backward()
     npt.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = (x * x).sum()
+    loss.backward()
+    with pytest.raises(ContractError, match="run the forward again"):
+        loss.backward()
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_loss_sharing_a_consumed_subgraph_raises_before_any_gradient_moves():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, 5.0], requires_grad=True)
+    y = x * x
+    y.sum().backward()
+    with pytest.raises(ContractError, match="run the forward again"):
+        ((y * w).sum() + w.sum()).backward()
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+    assert w.grad is None
 
 
 def test_backward_accumulates_on_reuse():

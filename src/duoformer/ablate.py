@@ -69,8 +69,8 @@ def suite_grid(suite: str, input_size: int, num_classes: int):
         subsets = [(3,), (2, 3), (1, 3), (1, 2, 3), STAGE_INDICES]
         return [("stages_" + "".join(map(str, s)), base(stages=s)) for s in subsets]
     if suite == "heads-layers":
-        # embed 12 on purpose: heads=8 does not divide it and must be skipped,
-        # exercising the incompatible-head-count rejection.
+        # embed 12 on purpose: heads=8 does not divide it, so the grid skips
+        # that head count instead of building a config validate() would reject.
         grid = []
         for layers in (2, 4, 6):
             for heads in (2, 4, 8):

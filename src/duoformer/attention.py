@@ -33,19 +33,17 @@ class MSA(Module):
         super().__init__()
         if embed_dim % heads:
             raise ConfigError(f"embed dim {embed_dim} not divisible by {heads} heads")
-        object.__setattr__(self, "heads", heads)
-        object.__setattr__(self, "head_dim", embed_dim // heads)
+        self.heads = heads
+        self.head_dim = embed_dim // heads
         self.qkv = Linear(embed_dim, 3 * embed_dim, stream.child("qkv").generator(), dtype=dtype)
         self.proj = Linear(embed_dim, embed_dim, stream.child("proj").generator(), dtype=dtype)
 
     def forward(self, x: Tensor, return_attn: bool = False):
-        *lead, t, d = x.shape
-        h = self.heads
-        if d != h * self.head_dim:
-            raise DimensionError(f"token dim {d} does not match configured {h * self.head_dim}")
-        out, attn = T.attention(x, self.qkv.w, self.qkv.b, self.proj.w, self.proj.b, h)
+        out, attn = T.attention(x, self.qkv.w, self.qkv.b, self.proj.w, self.proj.b,
+                                self.heads)
         if return_attn:
-            return out, attn.reshape(tuple(lead) + (h, t, t))
+            *lead, t, _ = x.shape
+            return out, attn.reshape(tuple(lead) + (self.heads, t, t))
         return out
 
 
@@ -73,7 +71,7 @@ class DuoLayer(Module):
         self.ffn = FFN(embed_dim, stream.child("ffn"), dtype=dtype)
         if with_patch:
             self.patch = MSA(embed_dim, heads, stream.child("patch"), dtype=dtype)
-        object.__setattr__(self, "with_patch", with_patch)
+        self.with_patch = with_patch
 
     def scale_block(self, x: Tensor) -> Tensor:
         """Pre-norm block over the scale axis of [B, S(+1), N, D]."""
@@ -87,9 +85,6 @@ class DuoLayer(Module):
         if not self.with_patch:
             raise ContractError("this layer was built without patch attention")
         return self.patch(scale_tokens)
-
-    def forward(self, x):  # a lone layer acts as its scale block
-        return self.scale_block(x)
 
 
 class DuoEncoder(Module):
@@ -109,27 +104,19 @@ class DuoEncoder(Module):
             raise ConfigError(f"encoder needs layers >= 1, got {layers}")
         if mode not in ("duo", "scale_only"):
             raise ConfigError(f"encoder mode must be duo or scale_only, got {mode!r}")
-        object.__setattr__(self, "layer_count", layers)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "readout", readout)
+        self.layer_count = layers
+        self.readout = readout
         patch_layers = 0
         if mode == "duo":
             patch_layers = layers if readout == "scale_token_patch_attn" else layers - 1
-        object.__setattr__(self, "patch_layers", patch_layers)
         for i in range(layers):
             setattr(self, f"layer{i}",
                     DuoLayer(embed_dim, heads, stream.child(f"layer{i}"),
                              with_patch=i < patch_layers, dtype=dtype))
-        if pos_scale:
-            self.scale_pos = Tensor(np.zeros((scale_extent, embed_dim), dtype=dtype),
-                                    requires_grad=True)
-        else:
-            object.__setattr__(self, "scale_pos", None)
-        if pos_patch and patch_layers > 0:
-            self.patch_pos = Tensor(np.zeros((n_patches, embed_dim), dtype=dtype),
-                                    requires_grad=True)
-        else:
-            object.__setattr__(self, "patch_pos", None)
+        self.scale_pos = (Tensor(np.zeros((scale_extent, embed_dim), dtype=dtype),
+                                 requires_grad=True) if pos_scale else None)
+        self.patch_pos = (Tensor(np.zeros((n_patches, embed_dim), dtype=dtype),
+                                 requires_grad=True) if pos_patch and patch_layers > 0 else None)
 
     def layers(self):
         return [getattr(self, f"layer{i}") for i in range(self.layer_count)]
@@ -142,15 +129,13 @@ class DuoEncoder(Module):
                     f"scale extent {s} does not match positional table {self.scale_pos.shape}")
             x = x + self.scale_pos.reshape((1, s, 1, d))
         out = None
-        patch_seen = False
         for i, layer in enumerate(self.layers()):
             x = layer.scale_block(x)
             if not layer.with_patch:
                 continue
             conduit = x[:, 0]  # [B, N, D]
-            if self.patch_pos is not None and not patch_seen:
+            if self.patch_pos is not None and i == 0:  # patch attention starts at layer 0
                 conduit = conduit + self.patch_pos
-                patch_seen = True
             out = layer.patch_attention(conduit)
             if i + 1 < self.layer_count:
                 x = T.concat([out.reshape((b, 1, n, d)), x[:, 1:]], axis=1)
@@ -186,14 +171,12 @@ class PatchEncoder(Module):
         super().__init__()
         if layers < 1:
             raise ConfigError(f"encoder needs layers >= 1, got {layers}")
-        object.__setattr__(self, "layer_count", layers)
+        self.layer_count = layers
         for i in range(layers):
             setattr(self, f"layer{i}",
                     TransformerBlock(embed_dim, heads, stream.child(f"layer{i}"), dtype=dtype))
-        if pos_patch:
-            self.pos = Tensor(np.zeros((n_patches, embed_dim), dtype=dtype), requires_grad=True)
-        else:
-            object.__setattr__(self, "pos", None)
+        self.pos = (Tensor(np.zeros((n_patches, embed_dim), dtype=dtype), requires_grad=True)
+                    if pos_patch else None)
 
     def forward(self, x: Tensor) -> Tensor:
         b, _, n, d = x.shape

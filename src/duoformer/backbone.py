@@ -117,7 +117,7 @@ class ToyBackbone(Module):
             raise ConfigError(f"backbone needs {len(STAGE_INDICES)} channel widths, "
                               f"got {list(channels)}")
         stages = stage_set(stages)
-        object.__setattr__(self, "stages", stages)
+        self.stages = stages
         prev = 3
         for i, c in enumerate(channels[:stages[-1] + 1]):
             rng = stream.child(f"stage{i}").generator()

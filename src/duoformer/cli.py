@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: gen-synthetic, tokenize, train, eval, gradcheck, ablate.
+Subcommands: gen-synthetic, tokenize, train, eval, gradcheck, ablate,
+export-pyramid.
 
 Exit codes (stable contract):
   0  success
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .ablate import SUITE_NAMES, SUITE_TRAIN, THREAD_VARS, format_table, run_suite
-from .backbone import load_pyramid
+from .backbone import FeaturePyramid, load_pyramid, save_pyramid
 from .config import parse_config, serialize_config
 from .data import gen_synthetic, load_dataset, split_dataset
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
@@ -38,7 +39,7 @@ from .errors import (ConfigError, ContractError, DimensionError, FormatError,
 from .gradcheck import grad_check_report
 from .model import DuoFormer, load_checkpoint
 from .serialize import load_tensor, save_tensor
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .trainer import evaluate, train
 
 _GUARD = "DUOFORMER_DETERMINISTIC"
@@ -198,6 +199,28 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def cmd_export_pyramid(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
+    model_cfg, _ = _read_config(args.config)
+    images, labels = load_dataset(args.data)
+    _check_geometry(images, labels, model_cfg.input_size, model_cfg.num_classes)
+    if not len(images):
+        raise ContractError(f"dataset {args.data} has no images")
+    model = DuoFormer(model_cfg).eval()  # batch-stats BN would leak chunk boundaries
+    chunks = {i: [] for i in model.stage_indices}
+    with no_grad():  # features only: no batch needs a graph
+        for lo in range(0, len(images), args.batch_size):
+            batch = Tensor(images[lo:lo + args.batch_size], dtype=model_cfg.dtype)
+            for idx, feat in model.backbone(batch).stages:
+                chunks[idx].append(feat.data)
+    stages = [(i, Tensor(np.concatenate(chunks[i], axis=0))) for i in model.stage_indices]
+    save_pyramid(args.out, FeaturePyramid(stages, input_size=model_cfg.input_size))
+    shapes = ", ".join(f"stage{i} {tuple(t.shape)}" for i, t in stages)
+    print(f"wrote {args.out}: {shapes}")
+    return 0
+
+
 # ---- parser --------------------------------------------------------------------
 
 
@@ -271,6 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--max-lr", type=float, default=SUITE_TRAIN.max_lr,
                     help="one-cycle peak learning rate (default %(default)s)")
     ab.set_defaults(fn=cmd_ablate)
+
+    ex = sub.add_parser("export-pyramid", help="write the frozen backbone's feature "
+                                               "pyramid of a whole dataset")
+    ex.add_argument("--config", required=True, help="key=value config file")
+    ex.add_argument("--data", required=True, help="dataset directory")
+    ex.add_argument("--out", required=True, help="output .dfc path, read by --pyramid")
+    ex.add_argument("--batch-size", type=int, default=64,
+                    help="backbone forward chunk (default %(default)s)")
+    ex.set_defaults(fn=cmd_export_pyramid)
     return p
 
 

@@ -15,10 +15,6 @@ from .errors import ConfigError
 from .tensor import DTYPES
 from .tokenizer import patch_grid, tokens_per_patch
 
-SCALE_TOKEN_MODES = ("fused", "learnable", "none")
-READOUTS = ("scale_token_patch_attn", "first_token", "avg_tokens", "scale_attn_only_fc")
-ATTENTION_MODES = ("duo", "scale_only", "patch_only")
-
 # (attention_mode, readout, scale_token_mode) triples that make structural sense
 VALID_COMBOS = {
     ("duo", "scale_token_patch_attn", "fused"),
@@ -70,14 +66,6 @@ class DuoFormerConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
-        if self.scale_token_mode not in SCALE_TOKEN_MODES:
-            raise ConfigError(f"scale_token_mode must be one of {SCALE_TOKEN_MODES}, "
-                              f"got {self.scale_token_mode!r}")
-        if self.readout not in READOUTS:
-            raise ConfigError(f"readout must be one of {READOUTS}, got {self.readout!r}")
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ConfigError(f"attention_mode must be one of {ATTENTION_MODES}, "
-                              f"got {self.attention_mode!r}")
         if self.scale_token_mode == "fused" and deepest_pp != 1:
             raise ConfigError(
                 f"fused scale token anchors its identity path on the patch grid: "

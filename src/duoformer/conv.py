@@ -81,9 +81,13 @@ def max_pool2d(x: Tensor, k: int) -> Tensor:
     return _from_op(np.ascontiguousarray(out_data), (x,), bw)
 
 
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               mode: str = "train", momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               mode: str = "train") -> Tensor:
     """Per-channel normalization of [B,C,H,W].
 
     Train mode normalizes by the batch statistics, differentiates through
@@ -105,15 +109,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             raise NumericError("degenerate variance: train-mode batch_norm needs batch size >= 2")
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * (var * n / (n - 1)).astype(running_var.dtype)
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * (var * n / (n - 1)).astype(running_var.dtype)
     else:
         mu = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     out_data = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
 

@@ -61,6 +61,8 @@ def make_synthetic(classes: int = 4, samples: int = 256, size: int = 64,
     """In-memory dataset: images [n, size, size, 3] f32, labels [n] i64."""
     if size < 32:
         raise ConfigError(f"size must be >= 32 (one cell at stage 3 of the backbone), got {size}")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     names = class_names(classes)
     n_tex = len(TEXTURE_PERIODS) if classes == 4 else 1
     stream = SeedStream(seed).child("synthetic")
@@ -112,7 +114,7 @@ def split_dataset(labels: np.ndarray, val_fraction: float, test_fraction: float,
                   seed: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Stratified (train, val, test) index arrays; seeded, disjoint, exhaustive."""
     rng = SeedStream(seed).child("split").generator()
-    train, val, test = [], [], []
+    train, val, test = ([np.empty(0, dtype=np.int64)] for _ in range(3))  # no labels: empty splits
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(len(idx))]

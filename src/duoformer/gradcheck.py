@@ -46,6 +46,8 @@ def grad_check_report(f, named_params: "dict[str, Tensor]", h: float = 1e-5,
     """
     if not (1e-6 <= h <= 1e-4):
         raise ContractError(f"h must lie in [1e-6, 1e-4], got {h}")
+    if sample is not None and sample < 1:
+        raise ContractError(f"sample must be >= 1 coordinate per parameter, got {sample}")
     for name, p in named_params.items():
         if p.data.dtype != np.float64:
             raise ContractError(f"grad_check requires f64 parameters; {name} is {p.data.dtype.name}")

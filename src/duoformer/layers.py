@@ -22,10 +22,10 @@ from .tensor import Tensor
 
 class Module:
     def __init__(self):
-        object.__setattr__(self, "_params", OrderedDict())
-        object.__setattr__(self, "_children", OrderedDict())
-        object.__setattr__(self, "_state", OrderedDict())
-        object.__setattr__(self, "training", True)
+        self._params = OrderedDict()
+        self._children = OrderedDict()
+        self._state = OrderedDict()
+        self.training = True
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor):
@@ -37,7 +37,7 @@ class Module:
     def register_state(self, name, arr: np.ndarray):
         """Attach a non-trainable buffer that still rides along in checkpoints."""
         self._state[name] = arr
-        object.__setattr__(self, name, arr)
+        setattr(self, name, arr)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -68,7 +68,7 @@ class Module:
 
     def train(self, mode: bool = True):
         for m in self.modules():
-            object.__setattr__(m, "training", mode)
+            m.training = mode
         return self
 
     def eval(self):
@@ -124,7 +124,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def forward(self, x):
-        return T.linear(x, self.w, self.b)
+        return T.matmul(x, self.w, bias=self.b)
 
 
 class LayerNorm(Module):
@@ -143,8 +143,8 @@ class Conv2d(Module):
         super().__init__()
         self.w = Tensor(kaiming_uniform(rng, (c_out, c_in, k, k), fan_in=c_in * k * k,
                                         dtype=dtype), requires_grad=True)
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "padding", padding)
+        self.stride = stride
+        self.padding = padding
 
     def forward(self, x):
         return conv2d(x, self.w, stride=self.stride, padding=self.padding)

@@ -33,13 +33,13 @@ class DuoFormer(Module):
     def __init__(self, cfg: DuoFormerConfig):
         super().__init__()
         cfg.validate()
-        object.__setattr__(self, "cfg", cfg)
+        self.cfg = cfg
         dtype = DTYPES[cfg.dtype]
         stream = SeedStream(cfg.seed)
         stages = stage_set(cfg.stages)
         if cfg.attention_mode == "patch_only":
             stages = stages[-1:]  # the hybrid baseline tokenizes the deepest stage only
-        object.__setattr__(self, "stage_indices", stages)
+        self.stage_indices = stages
 
         self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"), stages=stages,
                                     dtype=dtype)
@@ -48,9 +48,8 @@ class DuoFormer(Module):
             setattr(self.proj, f"stage{i}",
                     Linear(cfg.channels[i], cfg.embed_dim,
                            stream.child("proj").child(f"stage{i}").generator(), dtype=dtype))
-        object.__setattr__(self, "token_count",
-                           sum(count for _, _, count in
-                               scale_layout(cfg.input_size, cfg.patch_count, stages)))
+        self.token_count = sum(count for _, _, count in
+                               scale_layout(cfg.input_size, cfg.patch_count, stages))
 
         if cfg.attention_mode == "patch_only":
             depth = cfg.patch_only_layers or cfg.layers

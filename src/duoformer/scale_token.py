@@ -20,7 +20,7 @@ from .errors import ConfigError, ContractError
 from .layers import BatchNorm2d, Conv2d, Module
 from .rng import trunc_normal
 from .tensor import Tensor
-from .tokenizer import MultiScaleTokens, patch_grid, tokens_per_patch
+from .tokenizer import MultiScaleTokens, tokens_per_patch
 
 
 def downsample_plan(ratio: int, stage: int) -> "tuple[bool, int]":
@@ -63,13 +63,11 @@ class FusedScaleToken(Module):
                 setattr(self, f"down{i}",
                         _ConvBNReLU(channels[i], channels[i], 3, rng,
                                     stride=2, padding=1, dtype=dtype))
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "plans", plans)
-        object.__setattr__(self, "grid", patch_grid(n_patches))
-        total_c = sum(channels[i] for i in stages)
-        object.__setattr__(self, "concat_channels", total_c)
-        self.fuse = _ConvBNReLU(total_c, embed_dim, 1, stream.child("fuse").generator(),
-                                dtype=dtype)
+        self.stages = stages
+        self.plans = plans
+        self.concat_channels = sum(channels[i] for i in stages)
+        self.fuse = _ConvBNReLU(self.concat_channels, embed_dim, 1,
+                                stream.child("fuse").generator(), dtype=dtype)
 
     def downsampled(self, pyramid: FeaturePyramid) -> "list[tuple[int, Tensor]]":
         """Per-stage NCHW maps on the patch grid, before concat/fusion."""

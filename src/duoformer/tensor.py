@@ -14,7 +14,7 @@ an earlier walk consumed raises ContractError before any gradient moves.
 
 All operations are stable on finite inputs (softmax subtracts the max,
 normalizations carry an epsilon); non-finite values are the caller's signal
-of a genuine numeric failure and can be checked with ``assert_finite``.
+of a genuine numeric failure.
 
 Inside ``with no_grad():`` ops record no graph, so a forward-only pass keeps
 no activations alive.
@@ -23,7 +23,7 @@ Each op keeps only what its backward reads and builds no parameter- or
 activation-sized scratch it can avoid:
 
 * ``matmul(a, b, bias=)`` keeps its operands. The bias is added in place
-  into the product, so ``linear`` is one graph node. For a 2-D weight under
+  into the product, so an affine map is one graph node. For a 2-D weight under
   a batched input, the weight gradient is summed one matrix product at a
   time into one weight-sized buffer instead of a ``[batch, k, n]`` stack.
 * ``gelu`` keeps its input and ``tanh(u)``. Forward and backward run chunk
@@ -70,7 +70,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -305,12 +305,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def assert_finite(t: Tensor, context: str = "tensor"):
-    if not np.isfinite(t.data).all():
-        raise NumericError(f"non-finite values in {context}")
-    return t
-
-
 # ---- elementwise arithmetic ----------------------------------------------------
 
 
@@ -407,11 +401,6 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     for i in lead:
         acc += np.matmul(a[i].T, g[i], out=tmp)
     return acc
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: x @ w (+ b), one graph node."""
-    return matmul(x, w, bias=b)
 
 
 # ---- shape manipulation ----------------------------------------------------------
@@ -630,7 +619,10 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return (g - (g * y).sum(axis=axis, keepdims=True)) * y
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+_LN_EPS = 1e-6
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -639,7 +631,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out_data = xhat * gamma.data + beta.data
 

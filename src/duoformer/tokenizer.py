@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import stage_extent
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -32,19 +32,6 @@ class MultiScaleTokens:
     @property
     def scale_extent(self) -> int:
         return self.tokens.shape[1]
-
-    @property
-    def patch_count(self) -> int:
-        return self.tokens.shape[2]
-
-    def stage_slice(self, stage: int) -> slice:
-        """Scale-axis slice holding `stage`'s tokens."""
-        base = 1 if self.has_scale_token else 0
-        for idx, _, count in self.scale_layout:
-            if idx == stage:
-                return slice(base, base + count)
-            base += count
-        raise ContractError(f"no stage {stage} in layout {self.scale_layout}")
 
 
 def patch_grid(n_patches: int) -> int:
@@ -106,18 +93,3 @@ def tokenize(projected: "list[tuple[int, Tensor]]", n_patches: int,
     tokens = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
     return MultiScaleTokens(tokens=tokens, scale_layout=layout, has_scale_token=False)
 
-
-def untokenize(tokens: MultiScaleTokens, input_size: int) -> "list[tuple[int, Tensor]]":
-    """Inverse scatter of tokenize (scale token, if any, is not a stage and is dropped)."""
-    n = tokens.patch_count
-    g = patch_grid(n)
-    d = tokens.tokens.shape[3]
-    b = tokens.tokens.shape[0]
-    out = []
-    for idx, pp, _count in tokens.scale_layout:
-        sl = tokens.stage_slice(idx)
-        x = tokens.tokens[:, sl]  # [B, p'^2, N, D]
-        x = x.transpose((0, 2, 1, 3)).reshape((b, g, g, pp, pp, d))
-        x = x.transpose((0, 1, 3, 2, 4, 5)).reshape((b, g * pp, g * pp, d))
-        out.append((idx, x))
-    return out

@@ -115,10 +115,6 @@ class EarlyStopper:
             self.best_epoch = epoch
         return epoch - self.best_epoch >= self.patience
 
-    @property
-    def improved(self) -> bool:
-        return self.best_epoch >= 0
-
 
 # ---- records -----------------------------------------------------------------------
 

@@ -173,20 +173,20 @@ def patch_scatter(r, c, p, g):
 
 def attention_composed(T, x, wqkv, bqkv, wproj, bproj, heads):
     """Multi-head self-attention over x [*lead, t, d] as a graph of primitive
-    ops: linear, q/k/v slices, head split, scaled scores, softmax, weighted
-    sum, head merge, linear. Returns the output Tensor and the probabilities."""
+    ops: qkv matmul+bias, q/k/v slices, head split, scaled scores, softmax,
+    weighted sum, head merge, proj matmul+bias. Returns the output Tensor and the probabilities."""
     *lead, t, d = x.shape
     dh = d // heads
     b = int(np.prod(lead)) if lead else 1
-    qkv = T.linear(x.reshape((b, t, d)), wqkv, bqkv)
+    qkv = T.matmul(x.reshape((b, t, d)), wqkv, bias=bqkv)
     q, k, v = (qkv[:, :, i * d:(i + 1) * d].reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
                for i in range(3))
     scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
     out = T.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, t, d))
-    return T.linear(out, wproj, bproj).reshape(tuple(lead) + (t, d)), attn.data
+    return T.matmul(out, wproj, bias=bproj).reshape(tuple(lead) + (t, d)), attn.data
 
 
 def ffn_composed(T, x, w1, b1, w2, b2):
     """fc1 -> GELU -> fc2 as three primitive ops."""
-    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+    return T.matmul(T.gelu(T.matmul(x, w1, bias=b1)), w2, bias=b2)

@@ -77,6 +77,14 @@ def test_gen_synthetic_size_16_exits_2(tmp_path, capsys):
     assert "32" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gen_synthetic_samples_below_1_exits_2(tmp_path, samples, capsys):
+    assert cli.main(["gen-synthetic", "--out", str(tmp_path / "x"),
+                     "--samples", samples]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---- tokenize ---------------------------------------------------------------------
 
 
@@ -243,6 +251,21 @@ def test_train_missing_data_exits_3(tmp_path, toy_cfg):
                      "--out", str(tmp_path / "r")]) == 3
 
 
+@pytest.fixture()
+def empty_dataset(tmp_path):
+    data = tmp_path / "empty"
+    data.mkdir()
+    save_tensor(str(data / "images.dft"), np.zeros((0, 32, 32, 3), dtype=np.float32))
+    save_tensor(str(data / "labels.dft"), np.zeros(0, dtype=np.int64))
+    return str(data)
+
+
+def test_train_empty_dataset_exits_2(tmp_path, toy_cfg, empty_dataset, capsys):
+    assert cli.main(["train", "--config", toy_cfg, "--data", empty_dataset,
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "training split has 0 samples" in capsys.readouterr().err
+
+
 def test_train_from_pyramid(tmp_path, toy_cfg, dataset):
     from duoformer.backbone import save_pyramid
     from duoformer.config import parse_config
@@ -262,37 +285,28 @@ def test_train_from_pyramid(tmp_path, toy_cfg, dataset):
     assert (run / "best.dfc").exists()
 
 
-@pytest.fixture()
-def _export_pyramid():
-    import importlib.util
-
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "export_pyramid.py")
-    spec = importlib.util.spec_from_file_location("export_pyramid", script)
-    export = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(export)
-    return export
+# ---- export-pyramid ----------------------------------------------------------------
 
 
-def test_export_pyramid_script_feeds_train(tmp_path, toy_cfg, dataset, _export_pyramid):
+def test_export_pyramid_script_feeds_train(tmp_path, toy_cfg, dataset):
     pyr = tmp_path / "pyr.dfc"
-    assert _export_pyramid.main(["--config", toy_cfg, "--data", dataset, "--out", str(pyr),
-                        "--batch-size", "16"]) == 0
+    assert cli.main(["export-pyramid", "--config", toy_cfg, "--data", dataset,
+                     "--out", str(pyr), "--batch-size", "16"]) == 0
     assert cli.main(["train", "--config", toy_cfg, "--data", dataset,
                      "--out", str(tmp_path / "run"), "--pyramid", str(pyr)]) == 0
 
 
-def test_export_pyramid_feeds_f64_train(tmp_path, dataset, _export_pyramid):
+def test_export_pyramid_feeds_f64_train(tmp_path, dataset):
     cfg = tmp_path / "f64.cfg"
     cfg.write_text(TOY_CFG + "dtype = f64\n")
     pyr = tmp_path / "pyr.dfc"
-    assert _export_pyramid.main(["--config", str(cfg), "--data", dataset,
-                                 "--out", str(pyr)]) == 0
+    assert cli.main(["export-pyramid", "--config", str(cfg), "--data", dataset,
+                     "--out", str(pyr)]) == 0
     assert cli.main(["train", "--config", str(cfg), "--data", dataset,
                      "--out", str(tmp_path / "run"), "--pyramid", str(pyr)]) == 0
 
 
-def test_export_pyramid_records_no_graph(tmp_path, toy_cfg, dataset, _export_pyramid,
-                                         monkeypatch):
+def test_export_pyramid_records_no_graph(tmp_path, toy_cfg, dataset, monkeypatch):
     from duoformer.backbone import ToyBackbone
 
     real, feats = ToyBackbone.forward, []
@@ -303,10 +317,51 @@ def test_export_pyramid_records_no_graph(tmp_path, toy_cfg, dataset, _export_pyr
         return pyr
 
     monkeypatch.setattr(ToyBackbone, "forward", forward)
-    assert _export_pyramid.main(["--config", toy_cfg, "--data", dataset,
-                                 "--out", str(tmp_path / "pyr.dfc"), "--batch-size", "16"]) == 0
+    assert cli.main(["export-pyramid", "--config", toy_cfg, "--data", dataset,
+                     "--out", str(tmp_path / "pyr.dfc"), "--batch-size", "16"]) == 0
     assert len(feats) == 3 * 3  # three batches of 16, three stages each
     assert not any(f.requires_grad or f._parents for f in feats)
+
+
+def _export(cfg, data, tmp_path, *extra):
+    return cli.main(["export-pyramid", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "pyr.dfc"), *extra])
+
+
+def test_export_pyramid_missing_config_exits_3(tmp_path, dataset, capsys):
+    assert _export(str(tmp_path / "absent.cfg"), dataset, tmp_path) == 3
+    assert "absent.cfg" in capsys.readouterr().err
+
+
+def test_export_pyramid_invalid_config_exits_2(tmp_path, dataset, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TOY_CFG.replace("embed_dim = 16", "embed_dim = 7")
+                   .replace("heads = 4", "heads = 2"))
+    assert _export(str(cfg), dataset, tmp_path) == 2
+    assert "heads" in capsys.readouterr().err
+
+
+def test_export_pyramid_missing_data_exits_3(tmp_path, toy_cfg, capsys):
+    assert _export(toy_cfg, str(tmp_path / "nowhere"), tmp_path) == 3
+    assert "dataset file missing" in capsys.readouterr().err
+
+
+def test_export_pyramid_geometry_mismatch_exits_2(tmp_path, toy_cfg, capsys):
+    data = tmp_path / "d64"
+    assert cli.main(["gen-synthetic", "--out", str(data), "--samples", "4", "--size", "64"]) == 0
+    assert _export(toy_cfg, str(data), tmp_path) == 2
+    assert "64 px" in capsys.readouterr().err
+    assert not (tmp_path / "pyr.dfc").exists()
+
+
+def test_export_pyramid_empty_dataset_exits_2(tmp_path, toy_cfg, empty_dataset, capsys):
+    assert _export(toy_cfg, empty_dataset, tmp_path) == 2
+    assert "no images" in capsys.readouterr().err
+
+
+def test_export_pyramid_batch_size_0_exits_2(tmp_path, toy_cfg, dataset, capsys):
+    assert _export(toy_cfg, dataset, tmp_path, "--batch-size", "0") == 2
+    assert "--batch-size" in capsys.readouterr().err
 
 
 def _toy_checkpoint(tmp_path, edit):
@@ -394,6 +449,13 @@ def test_gradcheck_bad_eps_exits_2(toy_cfg):
     assert cli.main(["gradcheck", "--config", toy_cfg, "--eps", "1e-2"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gradcheck_samples_below_1_exits_2(toy_cfg, samples, capsys):
+    assert cli.main(["gradcheck", "--config", toy_cfg, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "sample" in captured.err
+
+
 # ---- ablate ------------------------------------------------------------------------
 
 
@@ -479,7 +541,8 @@ def test_help_lists_every_subcommand():
     proc = subprocess.run([sys.executable, "-m", "duoformer.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    for cmd in ("gen-synthetic", "tokenize", "train", "eval", "gradcheck", "ablate"):
+    for cmd in ("gen-synthetic", "tokenize", "train", "eval", "gradcheck", "ablate",
+                "export-pyramid"):
         assert cmd in proc.stdout, cmd
     assert "--deterministic" in proc.stdout
 

@@ -164,6 +164,12 @@ def test_model_config_guards():
         DuoFormerConfig(dtype="f16").validate()
 
 
+@pytest.mark.parametrize("key", ["attention_mode", "readout", "scale_token_mode"])
+def test_unknown_mode_value_fails_combination_check(key):
+    with pytest.raises(ConfigError, match="unsupported combination.*valid: "):
+        DuoFormerConfig(**{key: "bogus"}).validate()
+
+
 def test_fused_token_needs_patch_grid_anchor():
     """fused mode builds its identity path from the stage on the patch grid,
     so the deepest configured stage must have P' = 1."""

@@ -55,6 +55,12 @@ def test_size_below_backbone_floor_rejected():
         make_synthetic(classes=4, samples=4, size=16, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sample_count_below_1_rejected(samples):
+    with pytest.raises(ConfigError, match="samples must be >= 1"):
+        make_synthetic(classes=4, samples=samples, size=32, seed=0)
+
+
 # ---- the scale structure of the cues -----------------------------------------------
 
 
@@ -194,3 +200,8 @@ def test_split_indices_sorted():
     labels = np.arange(40) % 2
     for part in split_dataset(labels, 0.25, 0.25, seed=2):
         npt.assert_array_equal(part, np.sort(part))
+
+
+def test_split_of_no_labels_is_empty():
+    for part in split_dataset(np.zeros(0, dtype=np.int64), 0.2, 0.2, seed=0):
+        assert part.shape == (0,) and part.dtype == np.int64

@@ -34,7 +34,7 @@ def test_composite_graph_under_1e4():
     labels = np.array([0, 1, 2, 1])
 
     def f(ps):
-        h = T.gelu(T.linear(x, ps[0], ps[1]))
+        h = T.gelu(T.matmul(x, ps[0], bias=ps[1]))
         return T.cross_entropy(T.matmul(h, ps[2]), labels)
 
     assert grad_check(f, [w1, b1, w2]) < 1e-4
@@ -79,6 +79,13 @@ def test_h_out_of_range_rejected():
     x = _p([1.0])
     with pytest.raises(ContractError):
         grad_check(lambda ps: ps[0].sum(), [x], h=1e-2)
+
+
+@pytest.mark.parametrize("sample", [0, -1])
+def test_sample_below_1_rejected(sample):
+    """sample=0 would probe no coordinate and report a vacuous 0.0."""
+    with pytest.raises(ContractError, match="sample"):
+        grad_check(lambda ps: ps[0].sum(), [_p([1.0, 2.0])], sample=sample)
 
 
 def test_f32_params_rejected():

@@ -101,7 +101,7 @@ def test_linear_adds_exactly_one_graph_node():
     x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
     w = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    out = T.linear(x, w, b)
+    out = T.matmul(x, w, bias=b)
     assert _graph_ops(out) == 1
     assert {id(p) for p in out._parents} == {id(x), id(w), id(b)}
 

@@ -174,9 +174,11 @@ def test_attach_prepends_at_index_zero():
 
 def test_attach_shifts_stage_slices():
     toks = _tokens()
-    out = attach_scale_token(toks, Tensor(np.zeros((1, 4, 3), dtype=np.float32)))
-    assert out.stage_slice(2) == slice(1, 2)
-    assert toks.stage_slice(2) == slice(0, 1)
+    tok = Tensor(np.full((1, 4, 3), 7.0, dtype=np.float32))
+    out = attach_scale_token(toks, tok)
+    assert out.scale_layout == toks.scale_layout  # the layout counts stage rows only
+    npt.assert_array_equal(out.tokens.data[:, 0], tok.data)
+    npt.assert_array_equal(out.tokens.data[:, 1:], toks.tokens.data)
 
 
 def test_attach_none_is_passthrough():

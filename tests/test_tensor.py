@@ -376,17 +376,18 @@ def test_gelu_grad_matches_finite_diff():
     npt.assert_allclose(autograd_grad(fn, x0), fd_grad(fn, x0), atol=1e-6)
 
 
-# ---- linear ------------------------------------------------------------------------
+# ---- matmul with bias (an affine map) -------------------------------------------------
 
 
 def test_linear_identity_weight():
     x = np.array([[1.0, 2.0]])
-    out = T.linear(Tensor(x), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+    out = T.matmul(Tensor(x), Tensor(np.eye(2)), bias=Tensor(np.zeros(2)))
     npt.assert_array_equal(out.data, x)
 
 
 def test_linear_bias_broadcasts():
-    out = T.linear(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 4))), Tensor(np.arange(4.0)))
+    out = T.matmul(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 4))),
+                   bias=Tensor(np.arange(4.0)))
     npt.assert_array_equal(out.data, np.tile(np.arange(4.0), (3, 1)))
 
 
@@ -395,7 +396,7 @@ def test_linear_grad_matches_finite_diff():
     x = Tensor(rng.standard_normal((3, 4)))
     w0 = rng.standard_normal((4, 2))
     b = Tensor(rng.standard_normal(2))
-    fn = lambda w: T.linear(x, w, b).sum()
+    fn = lambda w: T.matmul(x, w, bias=b).sum()
     npt.assert_allclose(autograd_grad(fn, w0), fd_grad(fn, w0), atol=1e-6)
 
 
@@ -443,9 +444,3 @@ def test_grad_shape_matches_data_shape():
     x = Tensor(np.zeros((2, 5)), requires_grad=True)
     (x * x).sum().backward()
     assert x.grad.shape == x.data.shape and x.grad.dtype == x.data.dtype
-
-
-def test_assert_finite_raises():
-    from duoformer.errors import NumericError
-    with pytest.raises(NumericError):
-        T.assert_finite(Tensor([np.inf]), "test value")

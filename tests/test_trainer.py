@@ -205,13 +205,6 @@ def test_early_stopper_resets_on_improvement():
     assert stopper.best_epoch == 3
 
 
-def test_early_stopper_improved_flag():
-    stopper = EarlyStopper(patience=3)
-    assert not stopper.improved
-    stopper.update(0, 0.4)
-    assert stopper.improved
-
-
 # ---- training loop -------------------------------------------------------------
 
 

@@ -1,10 +1,10 @@
 """Scale/patch dual attention.
 
 A duo layer runs (1) a pre-norm MSA+FFN block over the scale axis,
-independently per patch, and (2) a bare MSA — no LN, FFN, or residual —
-over the patch axis on the scale-token slice. The patch-attention output
-is written back into scale index 0, so the next layer's scale attention
-sees patch-level context through that single conduit.
+independently per patch, and (2) a residual MSA, x + MSA(x) with no LN or
+FFN, over the patch axis on the scale-token slice. The patch-attention
+output is written back into scale index 0, so the next layer's scale
+attention sees patch-level context through that single conduit.
 
 When the readout consumes the token tensor itself (first_token,
 avg_tokens, scale_attn_only_fc) the final layer needs no patch attention
@@ -81,10 +81,10 @@ class DuoLayer(Module):
         return y.transpose((0, 2, 1, 3))
 
     def patch_attention(self, scale_tokens: Tensor) -> Tensor:
-        """Bare MSA over the patch axis: no LN, no FFN, no residual."""
+        """Residual MSA over the patch axis, x + MSA(x): no LN, no FFN."""
         if not self.with_patch:
             raise ContractError("this layer was built without patch attention")
-        return self.patch(scale_tokens)
+        return scale_tokens + self.patch(scale_tokens)
 
 
 class DuoEncoder(Module):

@@ -149,6 +149,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (0 < args.tol < np.inf):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     model_cfg, _ = _read_config(args.config)
     # central differences need f64 headroom regardless of the configured dtype
     model_cfg = replace(model_cfg, dtype="f64", seed=args.seed)

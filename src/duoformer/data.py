@@ -20,6 +20,7 @@ import os
 
 import numpy as np
 
+from .backbone import STAGE_INDICES, stage_extent
 from .errors import ConfigError, FormatError
 from .rng import SeedStream
 from .serialize import load_tensor, save_tensor
@@ -61,6 +62,7 @@ def make_synthetic(classes: int = 4, samples: int = 256, size: int = 64,
     """In-memory dataset: images [n, size, size, 3] f32, labels [n] i64."""
     if size < 32:
         raise ConfigError(f"size must be >= 32 (one cell at stage 3 of the backbone), got {size}")
+    stage_extent(size, STAGE_INDICES[0])  # no stage of any config fits a size this rejects
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     names = class_names(classes)

@@ -167,14 +167,14 @@ def test_scale_block_grad_check():
 # ---- patch attention ---------------------------------------------------------------
 
 
-def test_patch_attention_has_no_residual():
+def test_patch_attention_is_residual():
     layer = DuoLayer(4, 2, SeedStream(0).child("layer"), dtype=np.float64)
     for _, p in layer.patch.named_parameters():
         p.data = np.zeros_like(p.data)
     x = Tensor(np.random.default_rng(10).standard_normal((1, 5, 4)))
     out = layer.patch_attention(x)
-    # zero weights -> zero output; a residual path would leak x through
-    npt.assert_array_equal(out.data, np.zeros((1, 5, 4)))
+    # zero weights -> the MSA branch is zero and the residual passes x through
+    npt.assert_array_equal(out.data, x.data)
 
 
 def test_patch_attention_matches_oracle_49x32():
@@ -183,7 +183,7 @@ def test_patch_attention_matches_oracle_49x32():
     out = layer.patch_attention(Tensor(x)).data
     kw = _oracle_weights(layer.patch)
     for i in range(2):
-        npt.assert_allclose(out[i], attention_pairs(x[i], **kw), atol=1e-10)
+        npt.assert_allclose(out[i], x[i] + attention_pairs(x[i], **kw), atol=1e-10)
 
 
 def test_patch_attention_single_patch():

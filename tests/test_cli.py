@@ -77,6 +77,14 @@ def test_gen_synthetic_size_16_exits_2(tmp_path, capsys):
     assert "32" in capsys.readouterr().err
 
 
+def test_gen_synthetic_size_no_stage_fits_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(["gen-synthetic", "--out", str(out), "--samples", "8",
+                     "--size", "33"]) == 2
+    assert "divisible" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_gen_synthetic_samples_below_1_exits_2(tmp_path, samples, capsys):
     assert cli.main(["gen-synthetic", "--out", str(tmp_path / "x"),
@@ -447,6 +455,13 @@ def test_gradcheck_corrupted_backward_exits_nonzero(toy_cfg, monkeypatch, capsys
 
 def test_gradcheck_bad_eps_exits_2(toy_cfg):
     assert cli.main(["gradcheck", "--config", toy_cfg, "--eps", "1e-2"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_gradcheck_tol_not_positive_finite_exits_2(toy_cfg, tol, capsys):
+    assert cli.main(["gradcheck", "--config", toy_cfg, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err  # rejected before any check runs
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

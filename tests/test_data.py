@@ -55,6 +55,18 @@ def test_size_below_backbone_floor_rejected():
         make_synthetic(classes=4, samples=4, size=16, seed=0)
 
 
+@pytest.mark.parametrize("size", [33, 34, 50])
+def test_size_no_stage_fits_rejected(size):
+    # stage 0 is H / 4, and every deeper stage needs a larger power of 2 to divide H
+    with pytest.raises(ConfigError, match="not divisible by 4"):
+        make_synthetic(classes=2, samples=2, size=size, seed=0)
+
+
+def test_size_only_stage_0_fits_accepted():
+    images, _, _ = make_synthetic(classes=2, samples=2, size=36, seed=0)
+    assert images.shape == (2, 36, 36, 3)
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_sample_count_below_1_rejected(samples):
     with pytest.raises(ConfigError, match="samples must be >= 1"):

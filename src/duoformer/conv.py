@@ -108,7 +108,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         if bsz < 2:
             raise NumericError("degenerate variance: train-mode batch_norm needs batch size >= 2")
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xc = x.data - mu[None, :, None, None]
+        var = (xc * xc).sum(axis=axes) / n
         running_mean *= 1.0 - _BN_MOMENTUM
         running_mean += _BN_MOMENTUM * mu.astype(running_mean.dtype)
         running_var *= 1.0 - _BN_MOMENTUM
@@ -116,9 +117,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         mu = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
+        xc = x.data - mu[None, :, None, None]
 
     inv = 1.0 / np.sqrt(var + _BN_EPS)
-    xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
+    xhat = xc * inv[None, :, None, None]
     out_data = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
 
     def bw(g):

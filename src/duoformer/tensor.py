@@ -23,9 +23,9 @@ Each op keeps only what its backward reads and builds no parameter- or
 activation-sized scratch it can avoid:
 
 * ``matmul(a, b, bias=)`` keeps its operands. The bias is added in place
-  into the product, so an affine map is one graph node. For a 2-D weight under
-  a batched input, the weight gradient is summed one matrix product at a
-  time into one weight-sized buffer instead of a ``[batch, k, n]`` stack.
+  into the product, so an affine map is one graph node. A batched input
+  meets a 2-D weight as one GEMM over its rows flattened to a matrix
+  (``_mm``), in the forward and both gradients, not one GEMM per leading index.
 * ``gelu`` keeps its input and ``tanh(u)``. Forward and backward run chunk
   by chunk (``flat_chunks``), so their temporaries are chunk-sized.
 * ``index`` keeps its input and the index. Backward adds into the slice of
@@ -36,10 +36,10 @@ activation-sized scratch it can avoid:
   hands it over without the copy. A gradient whose dtype differs from the
   tensor's is a ContractError.
 
-These rewrites give bit-identical results to their plain forms, op by op:
-the same numpy operations on the same values in the same order. Where
-several consumers add gradients into one tensor, the order of those adds
-follows the backward walk of the graph.
+These rewrites give bit-identical results to their plain forms (for a 2-D
+weight under a batched input, the flattened product), op by op: the same
+numpy operations on the same values in the same order. Where several
+consumers add gradients into one tensor, the order follows the backward walk.
 
 Two fused ops each replace a transformer sub-block's graph of primitive
 ops with one node and a hand-written backward:
@@ -57,8 +57,8 @@ ops with one node and a hand-written backward:
   chunk-sized scratch.
 
 Forward and backward run the numpy operations of the composed graph in
-the same order, with the kernels the primitive ops use (``_softmax``, the
-GELU chunks, ``_weight_grad``, ``_unbroadcast``); only q, k and v enter
+the same order, with the kernels the primitive ops use (``_mm``, ``_softmax``,
+the GELU chunks, ``_accum_rhs_grad``, ``_unbroadcast``); only q, k and v enter
 their products as strided views of ``qkv`` instead of copies. Values and
 gradients match the composed graph bit for bit (``tests/test_fused_ops.py``).
 """
@@ -363,7 +363,7 @@ def matmul(a: Tensor, b: Tensor, bias: "Tensor | None" = None) -> Tensor:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    out_data = _mm(a.data, b.data)
     if bias is not None:
         _check_same_dtype(a, bias, "matmul bias")
         if np.broadcast_shapes(out_data.shape, bias.shape) != out_data.shape:
@@ -374,8 +374,7 @@ def matmul(a: Tensor, b: Tensor, bias: "Tensor | None" = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.shape))
         if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-                     owned=True)
+            a._accum(_unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
         if b.requires_grad:
             _accum_rhs_grad(b, a.data, g)
 
@@ -383,24 +382,24 @@ def matmul(a: Tensor, b: Tensor, bias: "Tensor | None" = None) -> Tensor:
 
 
 def _accum_rhs_grad(b: Tensor, a: np.ndarray, g: np.ndarray):
-    """Add the gradient of ``b`` in ``a @ b`` (output gradient ``g``) into ``b``."""
-    if b.ndim == 2 and a.ndim > 2:
-        b._accum(_weight_grad(a, g), owned=True)
+    """Add the gradient of ``b`` in ``a @ b`` (output gradient ``g``) into ``b``.
+    A 2-D b's, sum_i a[i].T @ g[i] over a's leading i, is one GEMM over rows."""
+    if b.ndim == 2:
+        b._accum(_rows(a).T @ _rows(g), owned=True)
     else:
         b._accum(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
 
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_i a[i].T @ g[i] over the leading index i, accumulated in order:
-    the values of summing the [*lead, k, n] product stack over its leading
-    axes, without building the stack."""
-    lead = np.ndindex(a.shape[:-2])
-    first = next(lead)
-    acc = np.matmul(a[first].T, g[first])
-    tmp = np.empty_like(acc)
-    for i in lead:
-        acc += np.matmul(a[i].T, g[i], out=tmp)
-    return acc
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a [*lead, k] as one [prod(lead), k] matrix: a view when a's layout allows."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a batched a against a 2-D b is one GEMM, not one per leading index."""
+    if b.ndim == 2 and a.ndim > 2:
+        return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
+    return np.matmul(a, b)
 
 
 # ---- shape manipulation ----------------------------------------------------------
@@ -697,7 +696,7 @@ def _linear_grad(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarr
     w's gradients accumulate, x's is returned."""
     if b.requires_grad:
         b._accum(_unbroadcast(g, b.shape))
-    gx = np.matmul(g, np.swapaxes(w.data, -1, -2))
+    gx = _mm(g, w.data.T)
     if w.requires_grad:
         _accum_rhs_grad(w, x, g)
     return gx
@@ -732,7 +731,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     x2 = x.data.reshape((bsz, t, d))
-    qkv = np.matmul(x2, wqkv.data)
+    qkv = _mm(x2, wqkv.data)
     qkv += bqkv.data
     q, k, v = _split_heads(qkv, heads)
     scores = np.matmul(q, np.swapaxes(k, -1, -2))
@@ -740,7 +739,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
     probs = _softmax(scores, -1)
     del scores
     merged = np.matmul(probs, v).transpose((0, 2, 1, 3)).reshape((bsz, t, d))
-    out_data = np.matmul(merged, wproj.data)
+    out_data = _mm(merged, wproj.data)
     out_data += bproj.data
 
     def bw(g):
@@ -786,26 +785,25 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _check_affine("ffn fc1", x, x.shape[-1], w1, b1)
     _check_affine("ffn fc2", x, w1.shape[1], w2, b2)
     params = (x, w1, b1, w2, b2)
-    h = np.matmul(x.data, w1.data)
+    h = _mm(x.data, w1.data)
     h += b1.data
     if not _records(params):
         for (hc,) in flat_chunks(h):
             tc = np.empty_like(hc)
             _gelu_tanh(hc, tc)
             _gelu_out(hc, tc, hc)
-        out_data = np.matmul(h, w2.data)
+        out_data = _mm(h, w2.data)
         out_data += b2.data
         return _from_op(out_data, params, None)
     t = np.empty_like(h)
     a = np.empty_like(h)
     _gelu_into(h, t, a)
-    out_data = np.matmul(a, w2.data)
+    out_data = _mm(a, w2.data)
     out_data += b2.data
-    del a
 
     def bw(g):
         nonlocal t
-        da = np.matmul(g, w2.data.T)
+        da = _mm(g, w2.data.T)
         _gelu_grad_into(h, t, da, da)  # da now holds fc1's output gradient
         for hc, tc in flat_chunks(h, t):
             _gelu_out(hc, tc, hc)  # h now holds the GELU output

@@ -20,6 +20,7 @@ from duoformer.errors import ContractError, DimensionError
 from duoformer.gradcheck import grad_check
 from duoformer.model import DuoFormer
 from duoformer.tensor import Tensor
+from oracles import matmul_loops
 
 DTYPES = (np.float32, np.float64)
 
@@ -41,12 +42,13 @@ def _graph_ops(root: Tensor) -> int:
 
 
 def _plain_linear(x, w, b, g):
-    """matmul then a broadcast add, each differentiated on its own."""
-    out = np.matmul(x, w) + b
-    gx = np.matmul(g, np.swapaxes(w, -1, -2))
-    gw = np.matmul(np.swapaxes(x, -1, -2), g)
-    if gw.ndim > 2:
-        gw = gw.sum(axis=tuple(range(gw.ndim - 2)))
+    """One GEMM over the rows of x flattened to a matrix, then a broadcast
+    add, each differentiated on its own."""
+    k, n = w.shape
+    x2, g2 = x.reshape(-1, k), g.reshape(-1, n)
+    out = (x2 @ w).reshape(g.shape) + b
+    gx = (g2 @ w.T).reshape(x.shape)
+    gw = x2.T @ g2
     gb = g.sum(axis=tuple(range(g.ndim - 1)))
     return out, gx, gw, gb
 
@@ -104,6 +106,75 @@ def test_linear_adds_exactly_one_graph_node():
     out = T.matmul(x, w, bias=b)
     assert _graph_ops(out) == 1
     assert {id(p) for p in out._parents} == {id(x), id(w), id(b)}
+
+
+def test_weight_grad_under_batched_input_f32_agrees_with_f64():
+    """The flattened weight-gradient GEMM sums 182 row products in one
+    kernel. Against the f64 sum of the per-index products, its f32 error per
+    element, in units of f32 eps times the magnitude sum |x|^T |g|, measured
+    at most 2.42 over seeds 0-199 of this shape (1.11 at seed 0); the bound
+    is 4. The f64 gradient agrees with that sum to 1e-12."""
+    rng = np.random.default_rng(0)
+    x0 = rng.standard_normal((2, 7, 13, 32)).astype(np.float32)
+    w0 = rng.standard_normal((32, 24)).astype(np.float32)
+    g0 = rng.standard_normal((2, 7, 13, 24)).astype(np.float32)
+    x64, g64 = x0.astype(np.float64), g0.astype(np.float64)
+    want = np.matmul(np.swapaxes(x64, -1, -2), g64).sum(axis=(0, 1))
+    mag = np.matmul(np.swapaxes(np.abs(x64), -1, -2), np.abs(g64)).sum(axis=(0, 1))
+    for dtype, bound in ((np.float32, 4 * np.finfo(np.float32).eps), (np.float64, 1e-12)):
+        w = Tensor(w0.astype(dtype), requires_grad=True)
+        (T.matmul(Tensor(x0.astype(dtype)), w) * Tensor(g0.astype(dtype))).sum().backward()
+        assert w.grad.dtype == dtype
+        assert (np.abs(w.grad - want) / mag).max() <= bound
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("view", [
+    lambda a: np.swapaxes(a, -1, -2),  # last axis strided
+    lambda a: a[:, ::2],  # a leading axis strided
+    lambda a: a.transpose((1, 0, 2, 3)),  # leading axes permuted
+])
+def test_non_contiguous_batched_input_matches_its_contiguous_copy(dtype, view):
+    rng = np.random.default_rng(3)
+    x0 = view(rng.standard_normal((3, 6, 16, 16)).astype(dtype))
+    assert not x0.flags.c_contiguous
+    d, h = x0.shape[-1], 12
+    params = [rng.standard_normal(s).astype(dtype) for s in ((d, h), (h,), (h, d), (d,))]
+    g0 = rng.standard_normal(x0.shape).astype(dtype)
+
+    def run(op, xv):
+        x = Tensor(xv, requires_grad=True)
+        ps = [Tensor(p, requires_grad=True) for p in params]
+        out = op(x, ps)
+        (out * Tensor(g0[..., :out.shape[-1]])).sum().backward()
+        return [out.data, x.grad] + [p.grad for p in ps if p.grad is not None]
+
+    for op in (lambda x, ps: T.matmul(x, ps[0], bias=ps[1]), lambda x, ps: T.ffn(x, *ps)):
+        got, want = run(op, x0), run(op, np.ascontiguousarray(x0))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 4, 5), (3, 5, 6)), ((4, 5), (2, 5, 6)),
+                                             ((2, 1, 4, 5), (3, 5, 6))])
+def test_batched_rhs_takes_the_stacked_path(monkeypatch, a_shape, b_shape):
+    """A rank > 2 right operand is a stack of matrices, not one affine map:
+    it goes through np.matmul's stacked loop, slice by slice."""
+    rng = np.random.default_rng(4)
+    a0, b0 = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    stacked = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda p, q: stacked.append(q.ndim) or real(p, q))
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    out = T.matmul(a, b)
+    out.sum().backward()
+    monkeypatch.undo()
+    assert stacked and all(n > 2 for n in stacked)
+    lead = out.shape[:-2]
+    a_full = np.broadcast_to(a0, lead + a_shape[-2:])
+    b_full = np.broadcast_to(b0, lead + b_shape[-2:])
+    for i in np.ndindex(lead):
+        npt.assert_allclose(out.data[i], matmul_loops(a_full[i], b_full[i]), atol=1e-12, rtol=0)
 
 
 # ---- gelu -------------------------------------------------------------------------

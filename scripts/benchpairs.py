@@ -11,7 +11,13 @@ on both sides. For each workload and each end-to-end metric of
 change of the median against the metric's bound, and in how many pairs the
 checkout was better (ties count for neither side).
 
+`--json PATH` also writes what it prints: both revisions, each side's
+environment as perfbench records it (BLAS, BLAS threads, CPU count, `src/`
+line count), and per workload and metric the pair count, each side's values,
+median and quartiles, and the wins.
+
     python3 scripts/benchpairs.py HEAD~1 --workload train-paper --pairs 10
+    python3 scripts/benchpairs.py HEAD~1 --json BENCH_13.json
 """
 
 import argparse
@@ -29,17 +35,22 @@ WORKLOADS = ("train-toy", "train-paper", "infer-toy")
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
-    """The last stdout line of one perfbench run: {"failed", "metrics", ...}."""
+    """The last stdout line of one perfbench run, {"failed", "metrics", ...},
+    plus the "env" of the record perfbench writes under `.bench_out/`."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"benchpairs: {workload} seed {seed} in {tree} printed no result "
                          f"(exit {proc.returncode})")
+    record = os.path.join(tree, ".bench_out", f"{workload}-seed{seed}-trace0.json")
+    with open(record) as f:
+        result["env"] = json.load(f)["env"]
+    return result
 
 
 def quartiles(values):
@@ -49,29 +60,58 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def report(workload: str, spec: list, pairs: list, rev: str) -> None:
+def side(values: list) -> dict:
+    q1, median, q3 = quartiles(values)
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def summarize(spec: list, pairs: list) -> dict:
     """Per-metric medians, quartiles and wins over (rev run, checkout run) pairs."""
     n = len(pairs)
-    failed = [sum(r["failed"] for r in side) for side in zip(*pairs)]
-    print(f"\n{workload}: {n} pairs, failed {failed[0]} ({rev}) / {failed[1]} (checkout)")
-    print(f"  {'metric':<14} {rev + ' median [q1, q3]':>34} {'checkout median [q1, q3]':>34}"
-          f" {'change':>8} {'bound':>6} {'wins':>6}")
+    out = {"pairs": n, "failed": [sum(r["failed"] for r in runs) for runs in zip(*pairs)],
+           "loss_end_equal": sum(a["metrics"].get("loss_end") == b["metrics"].get("loss_end")
+                                 for a, b in pairs),
+           "metrics": {}}
     for m in spec:
         name = m["name"]
         old = [a["metrics"][name]["value"] for a, _ in pairs if name in a["metrics"]]
         new = [b["metrics"][name]["value"] for _, b in pairs if name in b["metrics"]]
         if len(old) != n or len(new) != n:
-            print(f"  {name:<14} missing from some runs")
             continue
         sign = 1.0 if m["better"] == "lower" else -1.0
-        wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
-        (o1, o2, o3), (c1, c2, c3) = quartiles(old), quartiles(new)
+        o2, c2 = quartiles(old)[1], quartiles(new)[1]
         change = (c2 - o2) / abs(o2) if o2 else 0.0
-        worse = " WORSE" if sign * change > m["bound"] else ""
-        print(f"  {name:<14} {o2:>14.6g} [{o1:.6g}, {o3:.6g}] {c2:>14.6g} [{c1:.6g}, {c3:.6g}]"
-              f" {change:>+8.2%} {m['bound']:>6g} {wins:>3}/{n}{worse}")
-    same = sum(a["metrics"].get("loss_end") == b["metrics"].get("loss_end") for a, b in pairs)
-    print(f"  loss_end equal in {same}/{n} pairs")
+        out["metrics"][name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": n,
+            "rev": side(old), "checkout": side(new), "change": change,
+            "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)),
+            "worse": sign * change > m["bound"]}
+    return out
+
+
+def report(workload: str, spec: list, summary: dict, rev: str) -> None:
+    n = summary["pairs"]
+    failed = summary["failed"]
+    print(f"\n{workload}: {n} pairs, failed {failed[0]} ({rev}) / {failed[1]} (checkout)")
+    print(f"  {'metric':<14} {rev + ' median [q1, q3]':>34} {'checkout median [q1, q3]':>34}"
+          f" {'change':>8} {'bound':>6} {'wins':>6}")
+    for m in spec:
+        name = m["name"]
+        s = summary["metrics"].get(name)
+        if s is None:
+            print(f"  {name:<14} missing from some runs")
+            continue
+        o, c = s["rev"], s["checkout"]
+        print(f"  {name:<14} {o['median']:>14.6g} [{o['q1']:.6g}, {o['q3']:.6g}]"
+              f" {c['median']:>14.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+              f" {s['change']:>+8.2%} {s['bound']:>6g} {s['wins']:>3}/{n}"
+              f"{' WORSE' if s['worse'] else ''}")
+    print(f"  loss_end equal in {summary['loss_end_equal']}/{n} pairs")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", REPO, *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -79,6 +119,7 @@ def main(argv=None) -> int:
     ap.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     ap.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--json", metavar="PATH", help="also write the pairs and summary here")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -86,6 +127,9 @@ def main(argv=None) -> int:
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         spec = json.load(f)["end_to_end"]
 
+    revs = {"rev": {"name": args.rev, "commit": git("rev-parse", args.rev + "^{commit}")},
+            "checkout": {"commit": git("rev-parse", "HEAD"),
+                         "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
     results = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
         export(REPO, args.rev, tmp)
@@ -100,8 +144,15 @@ def main(argv=None) -> int:
                     print(f"pair {seed} {w} {(args.rev, 'checkout')[side]}: {shown}  "
                           f"failed {r['failed']}", flush=True)
                 results[w].append(tuple(runs))
+    summaries = {w: summarize(spec, results[w]) for w in workloads}
     for w in workloads:
-        report(w, spec, results[w], args.rev)
+        report(w, spec, summaries[w], args.rev)
+    if args.json:
+        for name, run in zip(revs, results[workloads[0]][0]):
+            revs[name]["env"] = run["env"]
+        with open(args.json, "w") as f:
+            json.dump(dict(revs, workloads=summaries), f, indent=1)
+            f.write("\n")
     return 0
 
 

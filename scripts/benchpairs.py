@@ -60,7 +60,7 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def side(values: list) -> dict:
+def stats(values: list) -> dict:
     q1, median, q3 = quartiles(values)
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
@@ -79,11 +79,11 @@ def summarize(spec: list, pairs: list) -> dict:
         if len(old) != n or len(new) != n:
             continue
         sign = 1.0 if m["better"] == "lower" else -1.0
-        o2, c2 = quartiles(old)[1], quartiles(new)[1]
-        change = (c2 - o2) / abs(o2) if o2 else 0.0
+        o, c = stats(old), stats(new)
+        change = (c["median"] - o["median"]) / abs(o["median"]) if o["median"] else 0.0
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": n,
-            "rev": side(old), "checkout": side(new), "change": change,
+            "rev": o, "checkout": c, "change": change,
             "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)),
             "worse": sign * change > m["bound"]}
     return out

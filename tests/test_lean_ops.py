@@ -3,6 +3,8 @@
 Each rewritten op (matmul with a fused bias, gelu, softmax, index, Adam) must
 give bit-identical values to the plain formula written out inline here: the
 same numpy operations in the same order. np.array_equal, not a tolerance.
+Only the contract tests of the flattened-GEMM kernel that compare against a
+different summation (f64, or the triple-loop oracle) use a stated bound.
 """
 
 import gc

@@ -8,7 +8,10 @@ attention sees patch-level context through that single conduit.
 
 When the readout consumes the token tensor itself (first_token,
 avg_tokens, scale_attn_only_fc) the final layer needs no patch attention
-and none is created.
+and none is created. Every readout but avg_tokens reads scale row 0 of
+the final layer only, so that layer's scale block takes row 0 alone as
+its query: LN1, keys and values still cover all scale rows, but the
+attention output, residuals, LN2 and FFN run on that one row.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ class MSA(Module):
         self.qkv = Linear(embed_dim, 3 * embed_dim, stream.child("qkv").generator(), dtype=dtype)
         self.proj = Linear(embed_dim, embed_dim, stream.child("proj").generator(), dtype=dtype)
 
-    def forward(self, x: Tensor, return_attn: bool = False):
+    def forward(self, x: Tensor, return_attn: bool = False, queries: int | None = None):
         out, attn = T.attention(x, self.qkv.w, self.qkv.b, self.proj.w, self.proj.b,
-                                self.heads)
+                                self.heads, queries)
         if return_attn:
             *lead, t, _ = x.shape
-            return out, attn.reshape(tuple(lead) + (self.heads, t, t))
+            return out, attn.reshape(tuple(lead) + (self.heads, attn.shape[-2], t))
         return out
 
 
@@ -73,10 +76,18 @@ class DuoLayer(Module):
             self.patch = MSA(embed_dim, heads, stream.child("patch"), dtype=dtype)
         self.with_patch = with_patch
 
-    def scale_block(self, x: Tensor) -> Tensor:
-        """Pre-norm block over the scale axis of [B, S(+1), N, D]."""
+    def scale_block(self, x: Tensor, queries: int | None = None) -> Tensor:
+        """Pre-norm block over the scale axis of [B, S(+1), N, D].
+
+        LN1, keys and values cover every scale row; the queries, residuals,
+        LN2 and FFN only the first ``queries`` rows (all when None), which
+        are the rows returned: [B, queries, N, D].
+        """
         xt = x.transpose((0, 2, 1, 3))  # patches become batch
-        y = xt + self.scale(self.ln1(xt))
+        h = self.scale(self.ln1(xt), queries=queries)
+        if queries is not None:
+            xt = xt[:, :, :queries]
+        y = xt + h
         y = y + self.ffn(self.ln2(y))
         return y.transpose((0, 2, 1, 3))
 
@@ -92,7 +103,10 @@ class DuoEncoder(Module):
 
     scale_pos is added once before layer 1; patch_pos is added to the
     conduit entering the first patch attention. Both are zero-initialized
-    and optional.
+    and optional. The readout decides how many rows the last scale block
+    returns: scale row 0 alone (``scale_block(x, queries=1)``) for
+    scale_token_patch_attn, first_token and scale_attn_only_fc, every row
+    for avg_tokens, whose mean reads them all.
     """
 
     def __init__(self, embed_dim: int, heads: int, layers: int, scale_extent: int,
@@ -129,8 +143,11 @@ class DuoEncoder(Module):
                     f"scale extent {s} does not match positional table {self.scale_pos.shape}")
             x = x + self.scale_pos.reshape((1, s, 1, d))
         out = None
+        # the readouts other than avg_tokens read only scale row 0 of the last block
+        last_queries = 1 if self.readout in ("scale_token_patch_attn", "first_token",
+                                             "scale_attn_only_fc") else None
         for i, layer in enumerate(self.layers()):
-            x = layer.scale_block(x)
+            x = layer.scale_block(x, last_queries if i + 1 == self.layer_count else None)
             if not layer.with_patch:
                 continue
             conduit = x[:, 0]  # [B, N, D]

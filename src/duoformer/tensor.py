@@ -44,10 +44,14 @@ consumers add gradients into one tensor, the order follows the backward walk.
 Two fused ops each replace a transformer sub-block's graph of primitive
 ops with one node and a hand-written backward:
 
-* ``attention(x, wqkv, bqkv, wproj, bproj, heads)`` keeps the reshaped
-  input, ``qkv``, the softmax probabilities and the merged heads; q, k and
-  v are views of ``qkv``. Neither the raw and scaled scores nor the
-  pre-merge heads outlive the forward.
+* ``attention(x, wqkv, bqkv, wproj, bproj, heads, queries=None)`` keeps
+  the reshaped input, ``qkv``, the softmax probabilities and the merged
+  heads; q, k and v are views of ``qkv``. Neither the raw and scaled scores
+  nor the pre-merge heads outlive the forward. With ``queries`` = nq, the
+  first nq tokens of each sequence are the queries and all t tokens are
+  keys and values: the one qkv GEMM still covers every row, q is the view
+  of its first nq rows, and the probabilities [.., heads, nq, t], the
+  merged heads, the projection and the output cover nq rows only.
 * ``ffn(x, w1, b1, w2, b2)`` keeps fc1's output and ``tanh(u)``. Its
   backward, which runs once, consumes them: fc1's output gradient is
   written over the GELU output's gradient, and the GELU output, which
@@ -61,6 +65,8 @@ the same order, with the kernels the primitive ops use (``_mm``, ``_softmax``,
 the GELU chunks, ``_accum_rhs_grad``, ``_unbroadcast``); only q, k and v enter
 their products as strided views of ``qkv`` instead of copies. Values and
 gradients match the composed graph bit for bit (``tests/test_fused_ops.py``).
+Attention with ``queries`` set has no composed twin; in f64 it matches the
+first rows of the full op to a relative 1e-12, output and gradients alike.
 """
 
 from __future__ import annotations
@@ -710,18 +716,23 @@ def _split_heads(qkv: np.ndarray, heads: int):
 
 
 def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tensor,
-              heads: int):
+              heads: int, queries: int | None = None):
     """Multi-head self-attention over the second-to-last axis of x [*lead, t, d].
 
     One graph node for qkv = x @ wqkv + bqkv, the head split (heads are
     contiguous slices of each of q, k, v), softmax(q k^T / sqrt(d / heads)),
     the weighted sum of v, the head merge and the output projection. All
-    leading axes are batch. Returns the output Tensor and the attention
-    probabilities [prod(lead), heads, t, t] as an ndarray.
+    leading axes are batch. The first ``queries`` tokens of each sequence
+    (all t when None) are the queries; all t tokens are keys and values.
+    Returns the output Tensor [*lead, nq, d] and the attention probabilities
+    [prod(lead), heads, nq, t] as an ndarray, with nq = queries or t.
     """
     if x.ndim < 2:
         raise DimensionError(f"attention needs [..., tokens, dim] input, got {x.shape}")
     *lead, t, d = x.shape
+    nq = t if queries is None else queries
+    if not 1 <= nq <= t:
+        raise DimensionError(f"attention: {queries} queries out of {t} tokens")
     _check_affine("attention qkv", x, d, wqkv, bqkv)
     _check_affine("attention proj", x, d, wproj, bproj)
     if wqkv.shape[1] != 3 * d or d % heads:
@@ -734,18 +745,18 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
     qkv = _mm(x2, wqkv.data)
     qkv += bqkv.data
     q, k, v = _split_heads(qkv, heads)
-    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores = np.matmul(q[:, :, :nq], np.swapaxes(k, -1, -2))
     scores *= c
     probs = _softmax(scores, -1)
     del scores
-    merged = np.matmul(probs, v).transpose((0, 2, 1, 3)).reshape((bsz, t, d))
+    merged = np.matmul(probs, v).transpose((0, 2, 1, 3)).reshape((bsz, nq, d))
     out_data = _mm(merged, wproj.data)
     out_data += bproj.data
 
     def bw(g):
-        g = g.reshape((bsz, t, wproj.shape[1]))
+        g = g.reshape((bsz, nq, wproj.shape[1]))
         dm = _linear_grad(merged, wproj, bproj, g)
-        do = np.ascontiguousarray(dm.reshape((bsz, t, heads, dh)).transpose((0, 2, 1, 3)))
+        do = np.ascontiguousarray(dm.reshape((bsz, nq, heads, dh)).transpose((0, 2, 1, 3)))
         del dm
         q, k, v = _split_heads(qkv, heads)
         dp = np.matmul(do, np.swapaxes(v, -1, -2))
@@ -755,11 +766,11 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
         del dp
         ds *= c
         dq = np.matmul(ds, k)
-        dkt = np.matmul(np.swapaxes(q, -1, -2), ds)
+        dkt = np.matmul(np.swapaxes(q[:, :, :nq], -1, -2), ds)
         del ds
         dqkv = np.zeros_like(qkv)
         parts = dqkv.reshape((bsz, t, 3, heads, dh))
-        parts[:, :, 0] += dq.transpose((0, 2, 1, 3))
+        parts[:, :nq, 0] += dq.transpose((0, 2, 1, 3))
         parts[:, :, 1] += dkt.transpose((0, 3, 1, 2))
         parts[:, :, 2] += dv.transpose((0, 2, 1, 3))
         del dq, dkt, dv

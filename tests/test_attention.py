@@ -51,6 +51,16 @@ def test_attention_rows_sum_to_one():
     npt.assert_allclose(attn.sum(axis=-1), np.ones((2, 4, 7)), atol=1e-12)
 
 
+def test_msa_queries_are_the_first_rows_over_all_keys():
+    m = _msa(8, 4)
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 3, 7, 8)))
+    full, full_attn = m(x, return_attn=True)
+    out, attn = m(x, return_attn=True, queries=2)
+    assert out.shape == (2, 3, 2, 8) and attn.shape == (2, 3, 4, 2, 7)
+    npt.assert_allclose(out.data, full.data[:, :, :2], rtol=1e-12)
+    npt.assert_allclose(attn, full_attn[:, :, :, :2], rtol=1e-12)
+
+
 @pytest.mark.parametrize("b,t,d,h", [(1, 1, 8, 1), (1, 3, 8, 2), (2, 5, 16, 4),
                                      (1, 49, 32, 8), (3, 2, 6, 3)])
 def test_msa_matches_pairwise_oracle(b, t, d, h):
@@ -267,6 +277,44 @@ def test_avg_tokens_reads_final_scale_block():
     merged = T.concat([c1.reshape((1, 1, 4, 4)), h1[:, 1:]], axis=1)
     want = enc.layer1.scale_block(merged).data.mean(axis=1)
     npt.assert_allclose(got, want, atol=1e-12)
+
+
+def test_one_layer_encoder_grad_check_through_the_row0_block(monkeypatch):
+    import duoformer.tensor as T
+    from duoformer.gradcheck import grad_check_report
+    queries, attention = [], T.attention
+
+    def spy(*args):
+        queries.append(args[6] if len(args) > 6 else None)
+        return attention(*args)
+
+    monkeypatch.setattr(T, "attention", spy)
+    enc = _encoder(layers=1, n=3, pos=True)
+    x = Tensor(np.random.default_rng(20).standard_normal((1, 4, 3, 4)), requires_grad=True)
+    w = Tensor(np.random.default_rng(21).standard_normal((1, 3, 4)))
+    report = grad_check_report(lambda _: (enc(x) * w).sum(),
+                               dict(enc.named_parameters(), x=x))
+    assert max(report.values()) < 1e-4
+    assert queries[:2] == [1, None]  # scale attention: row 0 only; patch attention: all patches
+
+
+def test_last_layer_ffn_sees_only_the_rows_the_readout_reads(monkeypatch):
+    import duoformer.tensor as T
+    shapes, ffn = [], T.ffn
+
+    def spy(x, *params):
+        shapes.append(x.shape)
+        return ffn(x, *params)
+
+    monkeypatch.setattr(T, "ffn", spy)
+    x = Tensor(np.random.default_rng(22).standard_normal((2, 4, 3, 4)))
+    for mode, readout, last_rows in [("duo", "scale_token_patch_attn", 1),
+                                     ("duo", "first_token", 1),
+                                     ("scale_only", "scale_attn_only_fc", 1),
+                                     ("duo", "avg_tokens", 4)]:
+        shapes.clear()
+        _encoder(layers=2, n=3, mode=mode, readout=readout)(x)
+        assert shapes == [(2, 3, 4, 4), (2, 3, last_rows, 4)], readout  # [B, N, rows, D]
 
 
 def test_first_token_readout_shape():

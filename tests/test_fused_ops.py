@@ -204,6 +204,41 @@ def test_constant_input_gets_no_gradient():
     assert x.grad is None and all(p.grad is not None for p in params)
 
 
+# ---- queries: only the first rows are queries ---------------------------------------------
+
+
+def _first_rows_run(shape, layout, dtype, queries, rows):
+    """The op with `queries` under an output gradient drawn for the first `rows`
+    rows; the full op (queries None) gets it padded with zeros. Returns the
+    first `rows` rows of the output and probabilities, then the five gradients."""
+    rng = np.random.default_rng(21)
+    x = _input(shape, layout, dtype, rng)
+    params = _attention_params(rng, dtype, shape[-1])
+    *lead, t, d = shape
+    g = rng.standard_normal((*lead, rows, d)).astype(dtype)
+    if queries is None:
+        g = np.concatenate([g, np.zeros((*lead, t - rows, d), dtype)], axis=-2)
+    out, attn, grads = _run(lambda x, ps: T.attention(x, *ps, 4, queries), x, params, g)
+    return [out[..., :rows, :], attn[:, :, :rows]] + grads
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+@pytest.mark.parametrize("shape,layout", LAYOUTS[:2])
+def test_attention_queries_match_the_first_rows_of_the_full_op(shape, layout, queries):
+    got = _first_rows_run(shape, layout, np.float64, queries, queries)
+    want = _first_rows_run(shape, layout, np.float64, None, queries)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_attention_queries_f32_agrees_with_f64():
+    lo, hi = (_first_rows_run((3, 6, 16), "conduit", dtype, 2, 2) for dtype in DTYPES)
+    for a, b in zip(lo, hi):
+        assert a.dtype == np.float32
+        assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(b)))
+
+
 # ---- finite differences and f32 against f64 -------------------------------------------------
 
 
@@ -326,6 +361,9 @@ def test_attention_rejects_mismatched_weights():
         T.attention(x, wqkv, bqkv, wproj, bproj, 3)  # 8 is not split over 3 heads
     with pytest.raises(DimensionError):
         T.attention(x, wproj, bproj, wproj, bproj, 2)  # qkv is [d, d]
+    for queries in (0, 4):  # x has 3 tokens
+        with pytest.raises(DimensionError):
+            T.attention(x, wqkv, bqkv, wproj, bproj, 2, queries)
 
 
 def test_ffn_rejects_unchained_weights():
@@ -394,8 +432,11 @@ def test_retained_graph_of_a_one_layer_duo_forward_is_pinned():
     pre-merge heads and the GELU output were kept too. The patch
     attention's residual added one `add` node, whose output is the
     [2, 4, 32] f32 conduit (1024 bytes): (146, 85, 3889128) before it.
+    The final scale block keeps only scale row 0 past LN1 (the queries,
+    residuals, LN2 and FFN), at the cost of one `index` node for the
+    residual's row slice: (147, 86, 3890152) before that.
     """
     model = DuoFormer(DuoFormerConfig(seed=0, **GUARD))
     images = Tensor(np.random.default_rng(18).standard_normal((2, 64, 64, 3)).astype(np.float32))
     logits = model(images)
-    assert graph_footprint(logits, exclude=model.parameters()) == (147, 86, 3890152)
+    assert graph_footprint(logits, exclude=model.parameters()) == (148, 87, 1647176)

@@ -7,13 +7,15 @@ thread builds every `ablate` suite config at 64 px, in f32 and in f64, and
 runs 3 Adam steps on one fixed synthetic batch. It records each step's loss
 and gradients, then the eval logits, the serialized config and the
 checkpoint bytes. The two records are compared array by array (dtype, shape
-and bytes, so the sign of zero counts). The first difference is printed,
-and any difference exits 1.
+and bytes, so the sign of zero counts). On any difference it prints, for
+each config/dtype pair, how many of its arrays differ, then the first
+difference, and exits 1.
 
     python3 scripts/bitcheck.py HEAD~1
 """
 
 import argparse
+import collections
 import os
 import pickle
 import subprocess
@@ -97,6 +99,11 @@ def differs(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes()
 
 
+def pair(name: str) -> str:
+    """The suite/config/dtype pair a record name belongs to."""
+    return "/".join(name.split("/")[:3])
+
+
 def describe(a: np.ndarray, b: np.ndarray) -> str:
     if a.dtype != b.dtype or a.shape != b.shape:
         return f"{a.dtype}{list(a.shape)} vs {b.dtype}{list(b.shape)}"
@@ -134,6 +141,10 @@ def main(argv=None) -> int:
     configs = sum(name.endswith("/checkpoint") for name in old_names)
     print(f"compared {len(old)} arrays over {configs} config/dtype pairs, {STEPS} Adam steps each")
     if bad:
+        totals = collections.Counter(pair(name) for name in old_names)
+        differing = collections.Counter(pair(name) for name, _, _ in bad)
+        for tag, total in totals.items():
+            print(f"{tag}: {differing[tag]} of {total} arrays differ")
         name, a, b = bad[0]
         print(f"DIFF: {len(bad)} arrays differ; first: {name}: {describe(a, b)}")
         return 1

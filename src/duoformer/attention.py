@@ -143,7 +143,6 @@ class DuoEncoder(Module):
                     f"scale extent {s} does not match positional table {self.scale_pos.shape}")
             x = x + self.scale_pos.reshape((1, s, 1, d))
         out = None
-        # the readouts other than avg_tokens read only scale row 0 of the last block
         last_queries = 1 if self.readout in ("scale_token_patch_attn", "first_token",
                                              "scale_attn_only_fc") else None
         for i, layer in enumerate(self.layers()):

@@ -4,7 +4,9 @@
 the composed graphs in `oracles` bit for bit (np.array_equal, no tolerance),
 on the input layouts the model feeds them, and keep only what their
 backward reads. A retained-bytes guard pins a small model's graph so that a
-dropped intermediate cannot come back unnoticed.
+dropped intermediate cannot come back unnoticed. Attention with `queries`
+set has no composed twin: in f64 it must match the full op's first rows
+to a relative 1e-12.
 """
 
 import tracemalloc

@@ -4,12 +4,12 @@
 Exports REV with `git archive` into a temporary directory. In each tree
 (REV's and this checkout's), a fresh interpreter with BLAS pinned to one
 thread builds every `ablate` suite config at 64 px, in f32 and in f64, and
-runs 3 Adam steps on one fixed synthetic batch. It records each step's loss
-and gradients, then the eval logits, the serialized config and the
-checkpoint bytes. The two records are compared array by array (dtype, shape
-and bytes, so the sign of zero counts). On any difference it prints, for
-each config/dtype pair, how many of its arrays differ, then the first
-difference, and exits 1.
+runs 3 Adam steps on one fixed synthetic batch. It records the parameters
+and state as built, each step's loss and gradients, then the eval logits,
+the serialized config and the checkpoint bytes. The two records are
+compared array by array (dtype, shape and bytes, so the sign of zero
+counts). On any difference it prints, for each config/dtype pair, how many
+of its arrays differ, then the first difference, and exits 1.
 
     python3 scripts/bitcheck.py HEAD~1
 """
@@ -49,6 +49,8 @@ def record(out_path) -> None:
             for dtype in ("f32", "f64"):
                 tag = f"{suite}/{config_id}/{dtype}"
                 model = DuoFormer(replace(cfg, dtype=dtype))
+                out += [(f"{tag}/init/{name}", arr.copy())
+                        for name, arr in model.state_dict().items()]
                 named = list(model.named_parameters())
                 params = [p for _, p in named]
                 state = adam_init(params)

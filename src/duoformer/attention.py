@@ -32,14 +32,14 @@ class MSA(Module):
     graph node.
     """
 
-    def __init__(self, embed_dim: int, heads: int, stream, dtype=np.float32):
+    def __init__(self, embed_dim: int, heads: int, stream):
         super().__init__()
         if embed_dim % heads:
             raise ConfigError(f"embed dim {embed_dim} not divisible by {heads} heads")
         self.heads = heads
         self.head_dim = embed_dim // heads
-        self.qkv = Linear(embed_dim, 3 * embed_dim, stream.child("qkv").generator(), dtype=dtype)
-        self.proj = Linear(embed_dim, embed_dim, stream.child("proj").generator(), dtype=dtype)
+        self.qkv = Linear(embed_dim, 3 * embed_dim, stream.child("qkv").generator())
+        self.proj = Linear(embed_dim, embed_dim, stream.child("proj").generator())
 
     def forward(self, x: Tensor, return_attn: bool = False, queries: int | None = None):
         out, attn = T.attention(x, self.qkv.w, self.qkv.b, self.proj.w, self.proj.b,
@@ -53,10 +53,10 @@ class MSA(Module):
 class FFN(Module):
     """linear -> GELU -> linear with hidden width 4D, one ``tensor.ffn`` graph node."""
 
-    def __init__(self, embed_dim: int, stream, dtype=np.float32):
+    def __init__(self, embed_dim: int, stream):
         super().__init__()
-        self.fc1 = Linear(embed_dim, 4 * embed_dim, stream.child("fc1").generator(), dtype=dtype)
-        self.fc2 = Linear(4 * embed_dim, embed_dim, stream.child("fc2").generator(), dtype=dtype)
+        self.fc1 = Linear(embed_dim, 4 * embed_dim, stream.child("fc1").generator())
+        self.fc2 = Linear(4 * embed_dim, embed_dim, stream.child("fc2").generator())
 
     def forward(self, x):
         return T.ffn(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
@@ -65,15 +65,14 @@ class FFN(Module):
 class DuoLayer(Module):
     """One scale-attention block plus (optionally) one patch attention."""
 
-    def __init__(self, embed_dim: int, heads: int, stream, with_patch: bool = True,
-                 dtype=np.float32):
+    def __init__(self, embed_dim: int, heads: int, stream, with_patch: bool = True):
         super().__init__()
-        self.ln1 = LayerNorm(embed_dim, dtype=dtype)
-        self.scale = MSA(embed_dim, heads, stream.child("scale"), dtype=dtype)
-        self.ln2 = LayerNorm(embed_dim, dtype=dtype)
-        self.ffn = FFN(embed_dim, stream.child("ffn"), dtype=dtype)
+        self.ln1 = LayerNorm(embed_dim)
+        self.scale = MSA(embed_dim, heads, stream.child("scale"))
+        self.ln2 = LayerNorm(embed_dim)
+        self.ffn = FFN(embed_dim, stream.child("ffn"))
         if with_patch:
-            self.patch = MSA(embed_dim, heads, stream.child("patch"), dtype=dtype)
+            self.patch = MSA(embed_dim, heads, stream.child("patch"))
         self.with_patch = with_patch
 
     def scale_block(self, x: Tensor, queries: int | None = None) -> Tensor:
@@ -112,7 +111,7 @@ class DuoEncoder(Module):
     def __init__(self, embed_dim: int, heads: int, layers: int, scale_extent: int,
                  n_patches: int, stream, mode: str = "duo",
                  readout: str = "scale_token_patch_attn",
-                 pos_scale: bool = True, pos_patch: bool = True, dtype=np.float32):
+                 pos_scale: bool = True, pos_patch: bool = True):
         super().__init__()
         if layers < 1:
             raise ConfigError(f"encoder needs layers >= 1, got {layers}")
@@ -126,11 +125,11 @@ class DuoEncoder(Module):
         for i in range(layers):
             setattr(self, f"layer{i}",
                     DuoLayer(embed_dim, heads, stream.child(f"layer{i}"),
-                             with_patch=i < patch_layers, dtype=dtype))
-        self.scale_pos = (Tensor(np.zeros((scale_extent, embed_dim), dtype=dtype),
-                                 requires_grad=True) if pos_scale else None)
-        self.patch_pos = (Tensor(np.zeros((n_patches, embed_dim), dtype=dtype),
-                                 requires_grad=True) if pos_patch and patch_layers > 0 else None)
+                             with_patch=i < patch_layers))
+        self.scale_pos = (Tensor(np.zeros((scale_extent, embed_dim)), requires_grad=True)
+                          if pos_scale else None)
+        self.patch_pos = (Tensor(np.zeros((n_patches, embed_dim)), requires_grad=True)
+                          if pos_patch and patch_layers > 0 else None)
 
     def layers(self):
         return [getattr(self, f"layer{i}") for i in range(self.layer_count)]
@@ -167,12 +166,12 @@ class DuoEncoder(Module):
 class TransformerBlock(Module):
     """Standard pre-norm block (both residuals, LN, FFN) over the token axis."""
 
-    def __init__(self, embed_dim: int, heads: int, stream, dtype=np.float32):
+    def __init__(self, embed_dim: int, heads: int, stream):
         super().__init__()
-        self.ln1 = LayerNorm(embed_dim, dtype=dtype)
-        self.attn = MSA(embed_dim, heads, stream.child("attn"), dtype=dtype)
-        self.ln2 = LayerNorm(embed_dim, dtype=dtype)
-        self.ffn = FFN(embed_dim, stream.child("ffn"), dtype=dtype)
+        self.ln1 = LayerNorm(embed_dim)
+        self.attn = MSA(embed_dim, heads, stream.child("attn"))
+        self.ln2 = LayerNorm(embed_dim)
+        self.ffn = FFN(embed_dim, stream.child("ffn"))
 
     def forward(self, x):
         x = x + self.attn(self.ln1(x))
@@ -183,15 +182,15 @@ class PatchEncoder(Module):
     """Plain ViT-style encoder over the one-row tokens [B, 1, N, D] (the hybrid baseline)."""
 
     def __init__(self, embed_dim: int, heads: int, layers: int, n_patches: int,
-                 stream, pos_patch: bool = True, dtype=np.float32):
+                 stream, pos_patch: bool = True):
         super().__init__()
         if layers < 1:
             raise ConfigError(f"encoder needs layers >= 1, got {layers}")
         self.layer_count = layers
         for i in range(layers):
             setattr(self, f"layer{i}",
-                    TransformerBlock(embed_dim, heads, stream.child(f"layer{i}"), dtype=dtype))
-        self.pos = (Tensor(np.zeros((n_patches, embed_dim), dtype=dtype), requires_grad=True)
+                    TransformerBlock(embed_dim, heads, stream.child(f"layer{i}")))
+        self.pos = (Tensor(np.zeros((n_patches, embed_dim)), requires_grad=True)
                     if pos_patch else None)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -91,12 +91,12 @@ class FeaturePyramid:
 class _Stage(Module):
     """conv3x3(s2) -> BN -> ReLU -> conv3x3(s1 or s2) -> BN -> ReLU."""
 
-    def __init__(self, c_in: int, c_out: int, rng, second_stride: int, dtype=np.float32):
+    def __init__(self, c_in: int, c_out: int, rng, second_stride: int):
         super().__init__()
-        self.conv1 = Conv2d(c_in, c_out, 3, rng, stride=2, padding=1, dtype=dtype)
-        self.bn1 = BatchNorm2d(c_out, dtype=dtype)
-        self.conv2 = Conv2d(c_out, c_out, 3, rng, stride=second_stride, padding=1, dtype=dtype)
-        self.bn2 = BatchNorm2d(c_out, dtype=dtype)
+        self.conv1 = Conv2d(c_in, c_out, 3, rng, stride=2, padding=1)
+        self.bn1 = BatchNorm2d(c_out)
+        self.conv2 = Conv2d(c_out, c_out, 3, rng, stride=second_stride, padding=1)
+        self.bn2 = BatchNorm2d(c_out)
 
     def forward(self, x):
         x = T.relu(self.bn1(self.conv1(x)))
@@ -111,7 +111,7 @@ class ToyBackbone(Module):
     built, and `forward` emits exactly `stages`.
     """
 
-    def __init__(self, channels, stream, stages=STAGE_INDICES, dtype=np.float32):
+    def __init__(self, channels, stream, stages=STAGE_INDICES):
         super().__init__()
         if len(channels) != len(STAGE_INDICES):
             raise ConfigError(f"backbone needs {len(STAGE_INDICES)} channel widths, "
@@ -121,8 +121,7 @@ class ToyBackbone(Module):
         prev = 3
         for i, c in enumerate(channels[:stages[-1] + 1]):
             rng = stream.child(f"stage{i}").generator()
-            setattr(self, f"stage{i}", _Stage(prev, c, rng,
-                                              second_stride=2 if i == 0 else 1, dtype=dtype))
+            setattr(self, f"stage{i}", _Stage(prev, c, rng, second_stride=2 if i == 0 else 1))
             prev = c
 
     def forward(self, images: Tensor) -> FeaturePyramid:

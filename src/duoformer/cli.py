@@ -88,7 +88,7 @@ def cmd_tokenize(args) -> int:
     model = DuoFormer(model_cfg).eval()
     if args.image is not None:
         arr = load_tensor(args.image)
-        x = Tensor(arr[None] if arr.ndim == 3 else arr, dtype=model_cfg.dtype)
+        x = Tensor(arr[None] if arr.ndim == 3 else arr)
     else:
         x = load_pyramid(args.pyramid)
     mst = model.tokens(model.pyramid_from(x))
@@ -213,8 +213,8 @@ def cmd_export_pyramid(args) -> int:
     chunks = {i: [] for i in model.stage_indices}
     with no_grad():  # features only: no batch needs a graph
         for lo in range(0, len(images), args.batch_size):
-            batch = Tensor(images[lo:lo + args.batch_size], dtype=model_cfg.dtype)
-            for idx, feat in model.backbone(batch).stages:
+            batch = Tensor(images[lo:lo + args.batch_size])
+            for idx, feat in model.pyramid_from(batch).stages:
                 chunks[idx].append(feat.data)
     stages = [(i, Tensor(np.concatenate(chunks[i], axis=0))) for i in model.stage_indices]
     save_pyramid(args.out, FeaturePyramid(stages, input_size=model_cfg.input_size))

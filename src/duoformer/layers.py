@@ -5,6 +5,10 @@ attributes), and non-trainable state (registered ndarrays, e.g. BN running
 stats) by assignment order. Dotted names follow attribute paths, so
 `encoder.layer0.scale.qkv.w` is the `w` of the `qkv` of the `scale` child
 of `layer0` of `encoder`.
+
+Layers build their parameters in f64, the precision of the initializers'
+draws. `DuoFormer` casts the whole tree to its configured dtype once, with
+`to_dtype`, so f32 parameters are the f64 ones rounded.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class Module:
 
     def to_dtype(self, dtype):
         for p in self.parameters():
-            p.data = p.data.astype(dtype)
+            p.data = p.data.astype(dtype, copy=False)
             p.grad = None
         return self
 
@@ -118,31 +122,30 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng, dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng):
         super().__init__()
-        self.w = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
+        self.w = Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True)
+        self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def forward(self, x):
         return T.matmul(x, self.w, bias=self.b)
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, dtype=np.float32):
+    def __init__(self, d: int):
         super().__init__()
-        self.gamma = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(d), requires_grad=True)
+        self.beta = Tensor(np.zeros(d), requires_grad=True)
 
     def forward(self, x):
         return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Conv2d(Module):
-    def __init__(self, c_in: int, c_out: int, k: int, rng, stride: int = 1,
-                 padding: int = 0, dtype=np.float32):
+    def __init__(self, c_in: int, c_out: int, k: int, rng, stride: int = 1, padding: int = 0):
         super().__init__()
-        self.w = Tensor(kaiming_uniform(rng, (c_out, c_in, k, k), fan_in=c_in * k * k,
-                                        dtype=dtype), requires_grad=True)
+        self.w = Tensor(kaiming_uniform(rng, (c_out, c_in, k, k), fan_in=c_in * k * k),
+                        requires_grad=True)
         self.stride = stride
         self.padding = padding
 
@@ -151,12 +154,12 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c: int, dtype=np.float32):
+    def __init__(self, c: int):
         super().__init__()
-        self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.register_state("running_mean", np.zeros(c, dtype=np.float64))
-        self.register_state("running_var", np.ones(c, dtype=np.float64))
+        self.gamma = Tensor(np.ones(c), requires_grad=True)
+        self.beta = Tensor(np.zeros(c), requires_grad=True)
+        self.register_state("running_mean", np.zeros(c))  # f64 state in every model dtype
+        self.register_state("running_var", np.ones(c))
 
     def forward(self, x):
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,

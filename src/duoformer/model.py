@@ -34,58 +34,54 @@ class DuoFormer(Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        dtype = DTYPES[cfg.dtype]
         stream = SeedStream(cfg.seed)
         stages = stage_set(cfg.stages)
         if cfg.attention_mode == "patch_only":
             stages = stages[-1:]  # the hybrid baseline tokenizes the deepest stage only
         self.stage_indices = stages
 
-        self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"), stages=stages,
-                                    dtype=dtype)
+        self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"), stages=stages)
         self.proj = Module()
         for i in stages:
             setattr(self.proj, f"stage{i}",
                     Linear(cfg.channels[i], cfg.embed_dim,
-                           stream.child("proj").child(f"stage{i}").generator(), dtype=dtype))
+                           stream.child("proj").child(f"stage{i}").generator()))
         self.token_count = sum(count for _, _, count in
                                scale_layout(cfg.input_size, cfg.patch_count, stages))
 
         if cfg.attention_mode == "patch_only":
             depth = cfg.patch_only_layers or cfg.layers
             self.encoder = PatchEncoder(cfg.embed_dim, cfg.heads, depth, cfg.patch_count,
-                                        stream.child("encoder"), pos_patch=cfg.pos_patch,
-                                        dtype=dtype)
+                                        stream.child("encoder"), pos_patch=cfg.pos_patch)
         else:
             if cfg.scale_token_mode == "fused":
                 self.scale_token = FusedScaleToken(stages, cfg.channels, cfg.input_size,
                                                    cfg.patch_count, cfg.embed_dim,
-                                                   stream.child("scale_token"), dtype=dtype)
+                                                   stream.child("scale_token"))
             elif cfg.scale_token_mode == "learnable":
                 self.scale_token = LearnableScaleToken(cfg.patch_count, cfg.embed_dim,
-                                                       stream.child("scale_token"), dtype=dtype)
+                                                       stream.child("scale_token"))
             scale_extent = self.token_count + (cfg.scale_token_mode != "none")
             self.encoder = DuoEncoder(cfg.embed_dim, cfg.heads, cfg.layers, scale_extent,
                                       cfg.patch_count, stream.child("encoder"),
                                       mode=cfg.attention_mode, readout=cfg.readout,
-                                      pos_scale=cfg.pos_scale, pos_patch=cfg.pos_patch,
-                                      dtype=dtype)
+                                      pos_scale=cfg.pos_scale, pos_patch=cfg.pos_patch)
 
-        self.head = Linear(cfg.embed_dim, cfg.num_classes, stream.child("head").generator(),
-                           dtype=dtype)
+        self.head = Linear(cfg.embed_dim, cfg.num_classes, stream.child("head").generator())
+        self.to_dtype(DTYPES[cfg.dtype])  # built in f64, the draws' precision
 
     # ---- forward ----------------------------------------------------------------
 
     def pyramid_from(self, x: "Tensor | FeaturePyramid") -> FeaturePyramid:
-        """The backbone's pyramid of images `x`, or pyramid `x`, checked against the config."""
+        """The pyramid of images or pyramid `x` in the model's dtype, checked against the config."""
+        dtype = DTYPES[self.cfg.dtype]
         if isinstance(x, FeaturePyramid):
-            dtype = DTYPES[self.cfg.dtype]
             if any(feat.data.dtype != dtype for _, feat in x.stages):  # pyramid files are f32
                 x = FeaturePyramid([(i, feat.astype(dtype)) for i, feat in x.stages],
                                    input_size=x.input_size)
             pyramid = x
         else:
-            pyramid = self.backbone(x)
+            pyramid = self.backbone(x if x.data.dtype == dtype else x.astype(dtype))
         if pyramid.input_size != self.cfg.input_size:
             raise ConfigError(f"pyramid input_size {pyramid.input_size} != configured "
                               f"{self.cfg.input_size}")

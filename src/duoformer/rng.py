@@ -48,17 +48,17 @@ class SeedStream:
         return np.random.default_rng(self.state)
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32):
-    """He-style uniform init, bound sqrt(6 / fan_in)."""
+def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int):
+    """He-style uniform init in f64, bound sqrt(6 / fan_in)."""
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32):
-    """Normal(0, std) resampled until within 2 std of the mean."""
+def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02):
+    """Normal(0, std) in f64, resampled until within 2 std of the mean."""
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
-    return out.astype(dtype)
+    return out

@@ -11,8 +11,6 @@ conv+pool4 / conv+pool2 / pool2 / identity for stages 0..3.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .backbone import FeaturePyramid
 from .conv import max_pool2d
@@ -37,10 +35,10 @@ def downsample_plan(ratio: int, stage: int) -> "tuple[bool, int]":
 
 
 class _ConvBNReLU(Module):
-    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, dtype=np.float32):
+    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride, padding=padding, dtype=dtype)
-        self.bn = BatchNorm2d(c_out, dtype=dtype)
+        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride, padding=padding)
+        self.bn = BatchNorm2d(c_out)
 
     def forward(self, x):
         return T.relu(self.bn(self.conv(x)))
@@ -49,8 +47,7 @@ class _ConvBNReLU(Module):
 class FusedScaleToken(Module):
     """Pyramid summary token: per-stage downsample, channel concat, 1x1 fuse to D."""
 
-    def __init__(self, stages, channels, input_size: int, n_patches: int, embed_dim: int,
-                 stream, dtype=np.float32):
+    def __init__(self, stages, channels, input_size: int, n_patches: int, embed_dim: int, stream):
         super().__init__()
         stages = sorted(stages)
         plans = {}
@@ -61,13 +58,12 @@ class FusedScaleToken(Module):
             if use_conv:
                 rng = stream.child(f"down{i}").generator()
                 setattr(self, f"down{i}",
-                        _ConvBNReLU(channels[i], channels[i], 3, rng,
-                                    stride=2, padding=1, dtype=dtype))
+                        _ConvBNReLU(channels[i], channels[i], 3, rng, stride=2, padding=1))
         self.stages = stages
         self.plans = plans
         self.concat_channels = sum(channels[i] for i in stages)
         self.fuse = _ConvBNReLU(self.concat_channels, embed_dim, 1,
-                                stream.child("fuse").generator(), dtype=dtype)
+                                stream.child("fuse").generator())
 
     def downsampled(self, pyramid: FeaturePyramid) -> "list[tuple[int, Tensor]]":
         """Per-stage NCHW maps on the patch grid, before concat/fusion."""
@@ -96,11 +92,10 @@ class FusedScaleToken(Module):
 class LearnableScaleToken(Module):
     """Free [N, D] parameter broadcast over the pyramid's batch."""
 
-    def __init__(self, n_patches: int, embed_dim: int, stream, dtype=np.float32):
+    def __init__(self, n_patches: int, embed_dim: int, stream):
         super().__init__()
         rng = stream.child("token").generator()
-        self.token = Tensor(trunc_normal(rng, (n_patches, embed_dim), dtype=dtype),
-                            requires_grad=True)
+        self.token = Tensor(trunc_normal(rng, (n_patches, embed_dim)), requires_grad=True)
 
     def forward(self, pyramid: FeaturePyramid) -> Tensor:
         n, d = self.token.shape

@@ -81,10 +81,15 @@ from .errors import ContractError, DimensionError
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
+def _resolve(dtype):
+    """A numpy dtype from a `DTYPES` name, or `dtype` itself."""
+    return DTYPES[dtype] if isinstance(dtype, str) else dtype
+
+
 def _as_array(data, dtype=None):
     arr = np.asarray(data)
     if dtype is not None:
-        return arr.astype(DTYPES[dtype] if isinstance(dtype, str) else dtype, copy=False)
+        return arr.astype(_resolve(dtype), copy=False)
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(np.float64)
@@ -128,8 +133,10 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(DTYPES[dtype] if isinstance(dtype, str) else dtype),
-                      requires_grad=self.requires_grad)
+        """A copy in ``dtype``; its gradient reaches ``self`` cast back."""
+        src = self.data.dtype
+        return _from_op(self.data.astype(_resolve(dtype)), (self,),
+                        lambda g: self._accum(g.astype(src), owned=True))
 
     # ---- gradient machinery --------------------------------------------------
 

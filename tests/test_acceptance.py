@@ -173,7 +173,7 @@ def test_criterion_04_attention_oracle():
         d = h * dh
         b = int(rng.integers(1, 4))
         t = int(rng.integers(2, 7))
-        msa = MSA(d, h, SeedStream(trial).child("msa"), dtype=np.float64)
+        msa = MSA(d, h, SeedStream(trial).child("msa"))
         x = rng.normal(size=(b, t, d))
         got, attn = msa(Tensor(x), return_attn=True)
         ref = _msa_pairwise_oracle(x, msa)
@@ -189,7 +189,7 @@ def test_criterion_05_structural_isolation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     d, h, rows, n = 16, 4, 6, 4  # rows = scale token + 5 scale slots
-    layer = DuoLayer(d, h, SeedStream(5).child("layer"), dtype=np.float64)
+    layer = DuoLayer(d, h, SeedStream(5).child("layer"))
     for p in layer.parameters():  # generic point, not the near-identity init
         p.data += rng.normal(scale=0.1, size=p.data.shape)
     x = rng.normal(size=(2, rows, n, d))
@@ -213,7 +213,7 @@ def test_criterion_05_structural_isolation():
     # permutation properties with positional tables disabled
     enc = DuoEncoder(d, h, 2, rows, n, SeedStream(55).child("enc"), mode="duo",
                      readout="scale_token_patch_attn", pos_scale=False,
-                     pos_patch=False, dtype=np.float64)
+                     pos_patch=False)
     y = enc(Tensor(x)).data
     perm = rng.permutation(n)
     y_perm = enc(Tensor(x[:, :, perm])).data
@@ -234,8 +234,7 @@ def test_criterion_06_fused_token_structure():
     rng = np.random.default_rng(6)
     channels = (3, 5, 7, 9)
     d = 11
-    mod = FusedScaleToken((0, 1, 2, 3), channels, 64, 4, d, SeedStream(6).child("tok"),
-                          dtype=np.float64)
+    mod = FusedScaleToken((0, 1, 2, 3), channels, 64, 4, d, SeedStream(6).child("tok"))
     pyr = FeaturePyramid(
         [(i, Tensor(rng.normal(size=(2, stage_extent(64, i), stage_extent(64, i),
                                      channels[i]))))

@@ -10,7 +10,7 @@ from oracles import attention_pairs
 
 
 def _msa(d, h, seed=0, dtype=np.float64, randomize_bias=True):
-    m = MSA(d, h, SeedStream(seed).child("msa"), dtype=dtype)
+    m = MSA(d, h, SeedStream(seed).child("msa")).to_dtype(dtype)
     if randomize_bias:
         rng = np.random.default_rng(seed + 100)
         m.qkv.b.data = rng.standard_normal(3 * d).astype(dtype) * 0.1
@@ -123,7 +123,7 @@ def _np_ln(x, gamma, beta, eps=1e-6):
 
 
 def _randomized_layer(d, h, seed=0, with_patch=True, dtype=np.float64):
-    layer = DuoLayer(d, h, SeedStream(seed).child("layer"), with_patch=with_patch, dtype=dtype)
+    layer = DuoLayer(d, h, SeedStream(seed).child("layer"), with_patch=with_patch).to_dtype(dtype)
     rng = np.random.default_rng(seed + 50)
     for _, p in layer.named_parameters():
         p.data = p.data + rng.standard_normal(p.shape).astype(dtype) * 0.05
@@ -178,7 +178,7 @@ def test_scale_block_grad_check():
 
 
 def test_patch_attention_is_residual():
-    layer = DuoLayer(4, 2, SeedStream(0).child("layer"), dtype=np.float64)
+    layer = DuoLayer(4, 2, SeedStream(0).child("layer"))
     for _, p in layer.patch.named_parameters():
         p.data = np.zeros_like(p.data)
     x = Tensor(np.random.default_rng(10).standard_normal((1, 5, 4)))
@@ -215,7 +215,7 @@ def test_missing_patch_attention_raises():
 def _encoder(d=4, h=2, layers=2, s=4, n=4, mode="duo", readout="scale_token_patch_attn",
              pos=False, seed=0, dtype=np.float64):
     enc = DuoEncoder(d, h, layers, s, n, SeedStream(seed).child("enc"), mode=mode,
-                     readout=readout, pos_scale=pos, pos_patch=pos, dtype=dtype)
+                     readout=readout, pos_scale=pos, pos_patch=pos).to_dtype(dtype)
     rng = np.random.default_rng(seed + 77)
     for _, p in enc.named_parameters():
         p.data = p.data + rng.standard_normal(p.shape).astype(dtype) * 0.05
@@ -372,8 +372,7 @@ def test_encoder_rejects_bad_mode_and_depth():
 
 
 def test_patch_encoder_block_has_residuals():
-    enc = PatchEncoder(4, 2, 1, 5, SeedStream(0).child("pe"), pos_patch=False,
-                       dtype=np.float64)
+    enc = PatchEncoder(4, 2, 1, 5, SeedStream(0).child("pe"), pos_patch=False)
     for _, p in enc.layer0.named_parameters():
         if p.shape and p.data.ndim >= 1:
             p.data = np.zeros_like(p.data)
@@ -383,7 +382,7 @@ def test_patch_encoder_block_has_residuals():
 
 
 def test_patch_encoder_stacks_layers():
-    enc = PatchEncoder(4, 2, 2, 5, SeedStream(3).child("pe"), dtype=np.float64)
+    enc = PatchEncoder(4, 2, 2, 5, SeedStream(3).child("pe"))
     rng = np.random.default_rng(22)
     for _, p in enc.named_parameters():
         p.data = p.data + rng.standard_normal(p.shape) * 0.05

@@ -12,7 +12,7 @@ from duoformer.tensor import Tensor
 
 def _backbone(channels=(2, 3, 4, 5), dtype=np.float32, stages=(0, 1, 2, 3)):
     # eval mode so batch-1 probes don't trip the BN small-batch guard
-    bb = ToyBackbone(channels, SeedStream(0).child("bb"), stages=stages, dtype=dtype)
+    bb = ToyBackbone(channels, SeedStream(0).child("bb"), stages=stages).to_dtype(dtype)
     return bb.eval()
 
 
@@ -140,7 +140,7 @@ def test_backbone_train_mode_needs_batch():
 
 
 def test_backbone_grad_check():
-    bb = ToyBackbone((2, 3, 4, 5), SeedStream(0).child("bb"), dtype=np.float64)
+    bb = ToyBackbone((2, 3, 4, 5), SeedStream(0).child("bb"))
     # data seed chosen so no ReLU pre-activation sits within the FD step of zero
     x = Tensor(np.random.default_rng(0).random((2, 32, 32, 3)))
     weights = {i: np.random.default_rng(10 + i).standard_normal((1,)).item()

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from duoformer.ablate import SUITE_NAMES, suite_grid
 from duoformer.backbone import FeaturePyramid
 from duoformer.config import DuoFormerConfig, TrainConfig
 from duoformer.errors import ConfigError, ContractError
 from duoformer.model import DuoFormer, count_parameters, load_checkpoint, save_checkpoint
 from duoformer.serialize import load_tensors
-from duoformer.tensor import Tensor
+from duoformer.tensor import DTYPES, Tensor, cross_entropy
 
 TOY = dict(input_size=32, patch_count=4, embed_dim=8, heads=2, layers=2,
            stages=(0, 1, 2), channels=(2, 3, 4, 5), num_classes=4, seed=0)
@@ -150,6 +153,57 @@ def test_f64_model_casts_f32_pyramid():
     f32 = FeaturePyramid([(i, f.astype("f32")) for i, f in pyr.stages], input_size=32)
     assert all(f.data.dtype == np.float64 for _, f in m.pyramid_from(f32).stages)
     assert m(f32).data.dtype == np.float64
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model_dtype,image_dtype", [("f32", "f64"), ("f64", "f32")])
+def test_images_of_another_dtype_match_precast_images(model_dtype, image_dtype):
+    """Logits and gradients equal those of the images cast to the model's dtype, bitwise."""
+    labels = np.array([0, 3])
+    runs = []
+    for x in (_images().astype(image_dtype), _images().astype(model_dtype)):
+        m = DuoFormer(_cfg(dtype=model_dtype))
+        logits = m(x)
+        cross_entropy(logits, labels).backward()
+        runs.append([logits.data] + [p.grad for p in m.parameters()])
+    assert all(_bitwise_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("kind", ["images", "pyramid"])
+@pytest.mark.parametrize("model_dtype,input_dtype", [("f32", "f64"), ("f64", "f32")])
+def test_gradient_reaches_an_input_of_another_dtype(kind, model_dtype, input_dtype):
+    """The cast is a graph node: the input's gradient is the pre-cast input's, cast back."""
+    images = _images().data
+    stages = [(i, f.data) for i, f in _model().backbone(_images()).stages]
+    grads = []
+    for dtype in (DTYPES[input_dtype], DTYPES[model_dtype]):
+        if kind == "images":
+            leaves = [Tensor(images.astype(dtype), requires_grad=True)]
+            x = leaves[0]
+        else:
+            leaves = [Tensor(f.astype(dtype), requires_grad=True) for _, f in stages]
+            x = FeaturePyramid([(i, t) for (i, _), t in zip(stages, leaves)], input_size=32)
+        DuoFormer(_cfg(dtype=model_dtype))(x).sum().backward()
+        grads.append([t.grad for t in leaves])
+    assert all(_bitwise_equal(a, b.astype(a.dtype)) for a, b in zip(*grads))
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_f32_parameters_are_the_f64_ones_rounded(suite):
+    """One home for the dtype: the f32 build is the f64 build cast once; BN stats stay f64."""
+    for _, cfg in suite_grid(suite, 64, 4):
+        built = {d: DuoFormer(replace(cfg, dtype=d)) for d in DTYPES}
+        f64 = dict(built["f64"].named_parameters())
+        for name, p in built["f32"].named_parameters():
+            assert _bitwise_equal(p.data, f64[name].data.astype(np.float32)), name
+        for d, m in built.items():
+            assert all(p.dtype == DTYPES[d] for p in m.parameters())
+            stats = dict(m.named_state())
+            assert stats and all(name.rsplit(".", 1)[1] in ("running_mean", "running_var")
+                                 and arr.dtype == np.float64 for name, arr in stats.items())
 
 
 _PATCH_ONLY = dict(attention_mode="patch_only", readout="avg_tokens", scale_token_mode="none")

@@ -27,7 +27,7 @@ def _pyramid(input_size, stages, channels=CHANNELS, batch=1, seed=0, fill=None):
 
 def _fused(stages, input_size=224, n_patches=49, d=4, channels=CHANNELS):
     st = FusedScaleToken(stages, channels, input_size, n_patches, d, SeedStream(0).child("st"))
-    return st.eval()
+    return st.to_dtype(np.float32).eval()
 
 
 # ---- downsample plans -----------------------------------------------------------

@@ -127,7 +127,7 @@ def test_cross_stage_alignment():
 def test_identity_projection_preserves_features():
     d = 4
     feat = _projected(32, 4, (2,), d=d)[0][1]
-    proj = Linear(d, d, SeedStream(0).child("p").generator())
+    proj = Linear(d, d, SeedStream(0).child("p").generator()).to_dtype(np.float32)
     proj.w.data = np.eye(d, dtype=np.float32)
     npt.assert_array_equal(proj(feat).data, feat.data)
 
@@ -136,7 +136,7 @@ def test_projection_matches_per_position_matmul():
     c_in, d = 5, 3
     rng = np.random.default_rng(7)
     feat = Tensor(rng.random((2, 4, 4, c_in)))
-    proj = Linear(c_in, d, SeedStream(1).child("p").generator(), dtype=np.float64)
+    proj = Linear(c_in, d, SeedStream(1).child("p").generator())
     proj.w.data = rng.standard_normal((c_in, d))
     proj.b.data = rng.standard_normal(d)
     out = proj(feat).data

@@ -9,7 +9,8 @@ and state as built, each step's loss and gradients, then the eval logits,
 the serialized config and the checkpoint bytes. The two records are
 compared array by array (dtype, shape and bytes, so the sign of zero
 counts). On any difference it prints, for each config/dtype pair, how many
-of its arrays differ, then the first difference, and exits 1.
+of its arrays differ and the name of its first differing record, then the
+first difference overall, and exits 1.
 
     python3 scripts/bitcheck.py HEAD~1
 """
@@ -145,8 +146,12 @@ def main(argv=None) -> int:
     if bad:
         totals = collections.Counter(pair(name) for name in old_names)
         differing = collections.Counter(pair(name) for name, _, _ in bad)
+        firsts = {}
+        for name, _, _ in bad:
+            firsts.setdefault(pair(name), name[len(pair(name)) + 1:])
         for tag, total in totals.items():
-            print(f"{tag}: {differing[tag]} of {total} arrays differ")
+            first = f"; first: {firsts[tag]}" if tag in firsts else ""
+            print(f"{tag}: {differing[tag]} of {total} arrays differ{first}")
         name, a, b = bad[0]
         print(f"DIFF: {len(bad)} arrays differ; first: {name}: {describe(a, b)}")
         return 1

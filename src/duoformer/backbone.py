@@ -1,8 +1,8 @@
 """Four-stage feature pyramid: toy CNN forward or ingestion from disk.
 
 Stage i of an H-px input has spatial extent P_i = H / (4 * 2**i): the stem
-downsamples by 4 and each later stage by a further 2. The pyramid boundary
-is channel-last [B, P, P, C]; NCHW is used internally for the conv stack.
+downsamples by 4 and each later stage by a further 2. Every map, from the
+image to the pyramid boundary, is channel-last [B, P, P, C].
 """
 
 from __future__ import annotations
@@ -132,12 +132,11 @@ class ToyBackbone(Module):
         if h != w:
             raise ConfigError(f"input must be square, got {h}x{w}")
         stage_extent(h, self.stages[-1])  # divides for the deepest stage, so for all
-        x = images.transpose((0, 3, 1, 2))
-        out = []
+        x, out = images, []
         for i in range(self.stages[-1] + 1):
             x = getattr(self, f"stage{i}")(x)
             if i in self.stages:
-                out.append((i, x.transpose((0, 2, 3, 1))))
+                out.append((i, x))
         return FeaturePyramid(out, input_size=h)
 
 

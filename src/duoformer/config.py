@@ -8,6 +8,7 @@ round-trips up to comment stripping and key order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .backbone import STAGE_INDICES, stage_set
@@ -47,8 +48,9 @@ class DuoFormerConfig:
     patch_only_layers: int | None = None  # None -> use `layers`
 
     def validate(self) -> "DuoFormerConfig":
-        if self.input_size <= 0:
-            raise ConfigError(f"input_size must be positive, got {self.input_size}")
+        for name in ("input_size", "patch_count", "embed_dim", "heads", "layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         patch_grid(self.patch_count)
         stages = stage_set(self.stages)
         # P' per stage (raises naming the stage); the deepest one anchors the patch grid
@@ -57,8 +59,6 @@ class DuoFormerConfig:
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if len(self.channels) != len(STAGE_INDICES) or any(c < 1 for c in self.channels):
             raise ConfigError(f"channels must be {len(STAGE_INDICES)} positive widths, "
                               f"got {self.channels}")
@@ -113,15 +113,17 @@ class TrainConfig:
         if not (1 <= self.patience <= self.max_epochs):
             raise ConfigError(
                 f"patience must lie in [1, max_epochs={self.max_epochs}], got {self.patience}")
-        if self.max_lr <= 0:
-            raise ConfigError(f"max_lr must be positive, got {self.max_lr}")
+        if not 0 < self.max_lr < math.inf:
+            raise ConfigError(f"max_lr must be positive and finite, got {self.max_lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if self.weight_decay != 0.0:
             raise ConfigError("weight_decay is fixed at 0 (training uses none); "
                               f"got {self.weight_decay}")
         if not (0.0 < self.pct_start < 1.0):
             raise ConfigError(f"pct_start must lie in (0, 1), got {self.pct_start}")
-        if self.div_factor <= 1.0 or self.final_div_factor <= 1.0:
-            raise ConfigError("div_factor and final_div_factor must exceed 1")
+        if not (1 < self.div_factor < math.inf and 1 < self.final_div_factor < math.inf):
+            raise ConfigError("div_factor and final_div_factor must be finite and exceed 1")
         if not (0.0 < self.val_fraction < 0.5 and 0.0 < self.test_fraction < 0.5):
             raise ConfigError("val/test fractions must lie in (0, 0.5)")
         return self

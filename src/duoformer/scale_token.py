@@ -66,10 +66,10 @@ class FusedScaleToken(Module):
                                 stream.child("fuse").generator())
 
     def downsampled(self, pyramid: FeaturePyramid) -> "list[tuple[int, Tensor]]":
-        """Per-stage NCHW maps on the patch grid, before concat/fusion."""
+        """Per-stage [B, g, g, C_i] maps on the patch grid, before concat/fusion."""
         out = []
         for i in self.stages:
-            x = pyramid.stage(i).transpose((0, 3, 1, 2))
+            x = pyramid.stage(i)
             use_conv, pool = self.plans[i]
             if use_conv:
                 x = getattr(self, f"down{i}")(x)
@@ -81,12 +81,12 @@ class FusedScaleToken(Module):
     def concatenated(self, pyramid: FeaturePyramid) -> Tensor:
         """Channel concat of the downsampled stages (deepest last), pre-fusion."""
         parts = [x for _, x in self.downsampled(pyramid)]
-        return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
+        return parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
 
     def forward(self, pyramid: FeaturePyramid) -> Tensor:
-        x = self.fuse(self.concatenated(pyramid))  # [B, D, g, g]
-        b, d, g, _ = x.shape
-        return x.transpose((0, 2, 3, 1)).reshape((b, g * g, d))
+        x = self.fuse(self.concatenated(pyramid))  # [B, g, g, D]
+        b, g, _, d = x.shape
+        return x.reshape((b, g * g, d))
 
 
 class LearnableScaleToken(Module):

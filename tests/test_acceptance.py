@@ -242,11 +242,11 @@ def test_criterion_06_fused_token_structure():
 
     down = dict(mod.downsampled(pyr))
     # deepest stage already sits on the patch grid: identity path, bitwise
-    assert np.array_equal(down[3].data, pyr.stage(3).data.transpose(0, 3, 1, 2))
+    assert np.array_equal(down[3].data, pyr.stage(3).data)
 
     cat = mod.concatenated(pyr)
-    assert cat.shape[1] == sum(channels) == mod.concat_channels
-    assert np.array_equal(cat.data[:, -channels[3]:], down[3].data)
+    assert cat.shape[-1] == sum(channels) == mod.concat_channels
+    assert np.array_equal(cat.data[..., -channels[3]:], down[3].data)
     assert mod.fuse.conv.w.shape == (d, sum(channels), 1, 1)
 
     out = mod(pyr)

@@ -215,6 +215,21 @@ def test_train_geometry_mismatch_exits_2(tmp_path, toy_cfg, capsys):
     assert "input_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "heads = 0", "heads = -4", "embed_dim = 0", "patch_count = 0", "patch_count = -4",
+    "max_lr = nan", "max_lr = inf", "beta1 = 2", "beta2 = -1", "div_factor = nan",
+    "final_div_factor = inf"])
+def test_train_config_value_no_run_can_use_exits_2(tmp_path, dataset, line, capsys):
+    """A value no run can use is a config error: no traceback, no non-finite model."""
+    key = line.split(" = ")[0]
+    kept = [k for k in TOY_CFG.splitlines() if not k.startswith(f"{key} ")]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(kept + [line, ""]))
+    assert cli.main(["train", "--config", str(cfg), "--data", dataset,
+                     "--out", str(tmp_path / "r")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_train_shallow_fused_subset_exits_2(tmp_path, dataset, capsys):
     cfg = tmp_path / "shallow.cfg"
     cfg.write_text(TOY_CFG.replace("stages = 0, 1, 2", "stages = 0"))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from duoformer.config import (DuoFormerConfig, TrainConfig, VALID_COMBOS, parse_config,
@@ -162,6 +164,28 @@ def test_model_config_guards():
         DuoFormerConfig(num_classes=1).validate()
     with pytest.raises(ConfigError, match="dtype"):
         DuoFormerConfig(dtype="f16").validate()
+
+
+@pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -4), ("embed_dim", 0),
+                                          ("patch_count", 0), ("patch_count", -4)])
+def test_model_size_below_1_is_a_config_error(field, value):
+    """Rejected before `embed_dim % heads` or `patch_grid` can use the value."""
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        DuoFormerConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_lr", math.nan), ("max_lr", math.inf), ("beta1", 2.0), ("beta2", -1.0),
+    ("div_factor", math.nan), ("final_div_factor", math.inf)])
+def test_train_value_that_gives_a_nan_model_is_a_config_error(field, value):
+    """Accepted, each of these values trains a non-finite model."""
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_train_config_accepts_the_edges_of_the_beta_range():
+    TrainConfig(beta1=0.0, beta2=0.0).validate()
+    TrainConfig(beta1=0.999999, beta2=0.999999).validate()
 
 
 @pytest.mark.parametrize("key", ["attention_mode", "readout", "scale_token_mode"])

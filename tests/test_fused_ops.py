@@ -437,8 +437,12 @@ def test_retained_graph_of_a_one_layer_duo_forward_is_pinned():
     The final scale block keeps only scale row 0 past LN1 (the queries,
     residuals, LN2 and FFN), at the cost of one `index` node for the
     residual's row slice: (147, 86, 3890152) before that.
+    The conv stack works channel-last, so the nine `transpose` nodes that
+    took each emitted backbone stage out of NCHW, each scale-token stage
+    back into it and the fused map out again are gone; they were views, so
+    no byte changed: (148, 87, 1647176) before that.
     """
     model = DuoFormer(DuoFormerConfig(seed=0, **GUARD))
     images = Tensor(np.random.default_rng(18).standard_normal((2, 64, 64, 3)).astype(np.float32))
     logits = model(images)
-    assert graph_footprint(logits, exclude=model.parameters()) == (148, 87, 1647176)
+    assert graph_footprint(logits, exclude=model.parameters()) == (139, 78, 1647176)

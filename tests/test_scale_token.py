@@ -99,9 +99,8 @@ def test_deepest_stage_identity_path():
     """Stage 3 sits on the patch grid already: its channels reach the concat untouched."""
     st = _fused((2, 3))
     pyr = _pyramid(224, (2, 3), seed=1)
-    cat = st.concatenated(pyr)  # [B, C2+C3, 7, 7], deepest last
-    expect = pyr.stage(3).data.transpose(0, 3, 1, 2)
-    npt.assert_array_equal(cat.data[:, -CHANNELS[3]:], expect)
+    cat = st.concatenated(pyr)  # [B, 7, 7, C2+C3], deepest last
+    npt.assert_array_equal(cat.data[..., -CHANNELS[3]:], pyr.stage(3).data)
 
 
 def test_eval_forward_deterministic():

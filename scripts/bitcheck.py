@@ -9,8 +9,10 @@ and state as built, each step's loss and gradients, then the eval logits,
 the serialized config and the checkpoint bytes. The two records are
 compared array by array (dtype, shape and bytes, so the sign of zero
 counts). On any difference it prints, for each config/dtype pair, how many
-of its arrays differ and the name of its first differing record, then the
-first difference overall, and exits 1.
+of its arrays differ, the largest relative difference max |a - b| / max |a|
+over its differing float arrays (the byte records, config and checkpoint,
+are counted but not sized), and the name of its first differing record,
+then the first difference overall, and exits 1.
 
     python3 scripts/bitcheck.py HEAD~1
 """
@@ -107,6 +109,18 @@ def pair(name: str) -> str:
     return "/".join(name.split("/")[:3])
 
 
+def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / max |a| of a differing float record; 0 for a byte record,
+    inf for a dtype or shape change or an all-zero `a`."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return np.inf
+    if a.dtype.kind != "f":
+        return 0.0
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    top = np.abs(a64).max()
+    return np.abs(a64 - b64).max() / top if top else np.inf
+
+
 def describe(a: np.ndarray, b: np.ndarray) -> str:
     if a.dtype != b.dtype or a.shape != b.shape:
         return f"{a.dtype}{list(a.shape)} vs {b.dtype}{list(b.shape)}"
@@ -146,11 +160,13 @@ def main(argv=None) -> int:
     if bad:
         totals = collections.Counter(pair(name) for name in old_names)
         differing = collections.Counter(pair(name) for name, _, _ in bad)
-        firsts = {}
-        for name, _, _ in bad:
+        firsts, gaps = {}, collections.defaultdict(float)
+        for name, a, b in bad:
             firsts.setdefault(pair(name), name[len(pair(name)) + 1:])
+            gaps[pair(name)] = max(gaps[pair(name)], relative_gap(a, b))
         for tag, total in totals.items():
-            first = f"; first: {firsts[tag]}" if tag in firsts else ""
+            first = (f", largest relative difference {gaps[tag]:.1e}; first: {firsts[tag]}"
+                     if tag in firsts else "")
             print(f"{tag}: {differing[tag]} of {total} arrays differ{first}")
         name, a, b = bad[0]
         print(f"DIFF: {len(bad)} arrays differ; first: {name}: {describe(a, b)}")

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ConfigError, ContractError, FormatError
-from .layers import BatchNorm2d, Conv2d, Module
+from .layers import BatchNorm2d, Conv2d, Module, conv_bn_relu_unit
 from .serialize import load_tensors, save_tensors
 from .tensor import Tensor
 
@@ -99,8 +98,8 @@ class _Stage(Module):
         self.bn2 = BatchNorm2d(c_out)
 
     def forward(self, x):
-        x = T.relu(self.bn1(self.conv1(x)))
-        return T.relu(self.bn2(self.conv2(x)))
+        x = conv_bn_relu_unit(self.conv1, self.bn1, x)
+        return conv_bn_relu_unit(self.conv2, self.bn2, x)
 
 
 class ToyBackbone(Module):

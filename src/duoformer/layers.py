@@ -18,7 +18,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import tensor as T
-from .conv import batch_norm, conv2d
+from .conv import batch_norm, conv2d, conv_bn_relu
 from .errors import ContractError
 from .rng import kaiming_uniform, trunc_normal
 from .tensor import Tensor
@@ -164,3 +164,9 @@ class BatchNorm2d(Module):
     def forward(self, x):
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                           mode="train" if self.training else "eval")
+
+
+def conv_bn_relu_unit(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
+    """relu(bn(conv(x))) on the two modules' tensors, as one `conv_bn_relu` node."""
+    return conv_bn_relu(x, conv.w, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                        conv.stride, conv.padding, mode="train" if bn.training else "eval")

@@ -15,7 +15,7 @@ from . import tensor as T
 from .backbone import FeaturePyramid
 from .conv import max_pool2d
 from .errors import ConfigError, ContractError
-from .layers import BatchNorm2d, Conv2d, Module
+from .layers import BatchNorm2d, Conv2d, Module, conv_bn_relu_unit
 from .rng import trunc_normal
 from .tensor import Tensor
 from .tokenizer import MultiScaleTokens, tokens_per_patch
@@ -41,7 +41,7 @@ class _ConvBNReLU(Module):
         self.bn = BatchNorm2d(c_out)
 
     def forward(self, x):
-        return T.relu(self.bn(self.conv(x)))
+        return conv_bn_relu_unit(self.conv, self.bn, x)
 
 
 class FusedScaleToken(Module):

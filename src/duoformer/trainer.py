@@ -161,7 +161,8 @@ def predict(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid",
     """Eval-mode argmax predictions, batched.
 
     inputs: images [n, H, W, 3], or a FeaturePyramid of precomputed
-    features for n samples (indexed along its batch axis).
+    features for n samples (indexed along its batch axis). A non-finite
+    logit is a NumericError, not a prediction.
     """
     n = len(inputs)
     was_training = model.training
@@ -171,6 +172,8 @@ def predict(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid",
         with T.no_grad():
             for i in range(0, n, batch_size):
                 logits = model(_model_input(inputs[np.arange(i, min(i + batch_size, n))]))
+                if not np.isfinite(logits.data).all():
+                    raise NumericError(f"non-finite logits in the batch from sample {i}")
                 preds.append(np.argmax(logits.data, axis=1))
     finally:
         model.train(was_training)
@@ -257,7 +260,7 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
                               seconds=time.perf_counter() - t0)
             record.epochs.append(rec)
             if jsonl is not None:
-                jsonl.write(json.dumps(asdict(rec)) + "\n")
+                jsonl.write(json.dumps(asdict(rec), allow_nan=False) + "\n")
                 jsonl.flush()
             if log is not None:
                 log(f"epoch {epoch}: loss {rec.train_loss:.4f} "

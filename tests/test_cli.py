@@ -423,6 +423,18 @@ def test_eval_checkpoint_misshaped_tensor_exits_3(tmp_path, dataset, capsys):
     assert "head.w" in capsys.readouterr().err
 
 
+def test_eval_all_nan_checkpoint_exits_4(tmp_path, dataset, capsys):
+    def poison(entries):
+        for name, arr in entries.items():
+            if arr.dtype.kind == "f":
+                entries[name] = np.full_like(arr, np.nan)
+
+    ckpt = _toy_checkpoint(tmp_path, poison)
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", dataset]) == 4
+    assert "non-finite logits" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_eval_corrupted_magic_exits_3(tmp_path, dataset, capsys):
     bad = tmp_path / "bad.dfc"
     bad.write_bytes(b"XXXX" + b"\x00" * 64)

@@ -1,10 +1,16 @@
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from duoformer import tensor as T
 from duoformer.config import (DuoFormerConfig, TrainConfig, VALID_COMBOS, parse_config,
                               serialize_config)
 from duoformer.errors import ConfigError
+from duoformer.model import DuoFormer
 
 TOY_TEXT = """\
 # toy run
@@ -206,3 +212,56 @@ def test_fused_token_needs_patch_grid_anchor():
     DuoFormerConfig(stages=(0, 1, 2), scale_token_mode="learnable").validate()
     DuoFormerConfig(stages=(0, 1, 2), scale_token_mode="none",
                     readout="first_token").validate()
+
+
+# ---- property: every text parses or is a ConfigError, every accepted model runs ----
+
+_INTS = st.one_of(st.integers(-2, 4), st.sampled_from([8, 16, 32, 64])).map(str)
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 1e4]),
+                    st.floats(-1.0, 1e5)).map(repr)
+_WORDS = sorted({v for combo in VALID_COMBOS for v in combo} | {"f32", "f64", "f16", ""})
+_VALUES = {
+    "int": _INTS,
+    "float": _FLOATS,
+    "str": st.sampled_from(_WORDS),
+    "bool": st.sampled_from(["true", "false", "0", "maybe"]),
+    "tuple[int, ...]": st.lists(st.integers(-1, 4), max_size=4).map(
+        lambda v: ", ".join(map(str, v))),
+    "int | None": st.one_of(st.just("none"), _INTS),
+}
+_FIELD_VALUES = {f.name: _VALUES[f.type] for cls in (DuoFormerConfig, TrainConfig)
+                 for f in fields(cls)}
+# Toy geometries whose deepest stage sits on the patch grid, so that a draw
+# with no hostile override is accepted, and every accepted draw builds in
+# milliseconds: (input_size, patch_count, stages).
+_GEOMETRIES = [("32", "4", "0, 1, 2"), ("32", "1", "0, 1, 2, 3"), ("64", "4", "0, 1, 2, 3"),
+               ("64", "16", "0, 1, 2"), ("64", "16", "2")]
+_TOY_BASE = st.builds(
+    lambda geo, width, combo, channels: {
+        "input_size": geo[0], "patch_count": geo[1], "stages": geo[2],
+        "embed_dim": str(4 * width), "heads": str(width), "layers": "1",
+        "attention_mode": combo[0], "readout": combo[1], "scale_token_mode": combo[2],
+        "channels": ", ".join(map(str, channels))},
+    st.sampled_from(_GEOMETRIES), st.sampled_from([1, 2, 4]), st.sampled_from(sorted(VALID_COMBOS)),
+    st.lists(st.integers(1, 6), min_size=4, max_size=4))
+_OVERRIDES = st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _FIELD_VALUES[k] for k in keys}))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_TOY_BASE, _OVERRIDES)
+def test_any_config_text_parses_or_is_a_config_error_and_accepted_models_run(base, overrides):
+    text = "".join(f"{k} = {v}\n" for k, v in {**base, **overrides}.items())
+    try:
+        model_cfg, _ = parse_config(text)
+    except ConfigError:
+        return
+    model = DuoFormer(replace(model_cfg, dtype="f32"))
+    size = model_cfg.input_size
+    images = T.Tensor(np.random.default_rng(0).standard_normal((2, size, size, 3))
+                      .astype(np.float32))
+    logits = model(images)  # train mode, graph recorded
+    assert logits.dtype == np.float32 and np.isfinite(logits.data).all(), text
+    model.eval()
+    with T.no_grad():
+        assert np.isfinite(model(images).data).all(), text

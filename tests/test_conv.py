@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from duoformer.conv import batch_norm, conv2d, max_pool2d
+from duoformer import tensor as T
+from duoformer.conv import batch_norm, conv2d, conv_bn_relu, max_pool2d
 from duoformer.errors import ContractError, DimensionError, NumericError
+from duoformer.gradcheck import grad_check
 from duoformer.tensor import Tensor
 
 
@@ -56,6 +58,22 @@ def test_conv_matches_six_loop_oracle():
         npt.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("o", [3, 40], ids=["K-hwc", "K-chw"])
+def test_conv_matches_six_loop_oracle_in_both_k_orders(o):
+    # 8 GEMM rows at stride 2: 3 output channels take K = (kh, kw, C), 40 take (C, kh, kw)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 2, 5, 5))
+    w = rng.standard_normal((o, 2, 3, 3))
+    xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, stride=2)
+    npt.assert_allclose(out.data, nhwc(oracles.conv2d_loops(x, w, stride=2)), atol=1e-12, rtol=0)
+    out.sum().backward()
+    fn_x = lambda t: conv2d(t, Tensor(w), stride=2).sum()
+    fn_w = lambda t: conv2d(Tensor(nhwc(x)), t, stride=2).sum()
+    npt.assert_allclose(xt.grad, fd(fn_x, nhwc(x)), atol=1e-6)
+    npt.assert_allclose(wt.grad, fd(fn_w, w), atol=1e-6)
+
+
 def test_conv_output_extent_formula():
     x = Tensor(np.zeros((1, 11, 7, 1)))
     w = Tensor(np.zeros((1, 1, 3, 3)))
@@ -73,14 +91,16 @@ def test_conv_channel_mismatch():
         conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((1, 3, 3, 3))))
 
 
-def test_conv_grads_match_finite_diff():
+# the 2x2 stride-2 kernel leaves the last input column outside every window
+@pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (2, 2, 0)])
+def test_conv_grads_match_finite_diff(k, stride, padding):
     rng = np.random.default_rng(2)
     x0 = nhwc(rng.standard_normal((2, 2, 5, 5)))
-    w0 = rng.standard_normal((3, 2, 3, 3))
+    w0 = rng.standard_normal((3, 2, k, k))
     xt, wt = Tensor(x0), Tensor(w0)
 
-    fn_x = lambda t: conv2d(t, wt, stride=2, padding=1).sum()
-    fn_w = lambda t: conv2d(xt, t, stride=2, padding=1).sum()
+    fn_x = lambda t: conv2d(t, wt, stride=stride, padding=padding).sum()
+    fn_w = lambda t: conv2d(xt, t, stride=stride, padding=padding).sum()
     for fn, v0 in [(fn_x, x0), (fn_w, w0)]:
         npt.assert_allclose(ag(fn, v0), fd(fn, v0), atol=1e-6)
 
@@ -246,3 +266,91 @@ def test_bn_eval_grad_matches_finite_diff():
     gamma, beta = Tensor(np.full(2, 1.3)), Tensor(np.full(2, -0.2))
     fn = lambda t: batch_norm(t, gamma, beta, rm, rv, mode="eval").sum()
     npt.assert_allclose(ag(fn, x0), fd(fn, x0), atol=1e-6)
+
+
+# ---- conv_bn_relu -----------------------------------------------------------
+
+# (kernel, stride, padding); a [3, 8, 8, 5] input gives 192 or 48 GEMM rows,
+# so 7 output channels take K = (kh, kw, C) and 500 take (C, kh, kw).
+UNITS = [(3, 1, 1), (3, 2, 1), (1, 1, 0)]
+WIDTHS = [7, 500]
+
+
+def _unit(o, k, dtype=np.float64, seed=13, shape=(3, 8, 8, 5)):
+    """Input, weight, gamma, beta, running mean and var, and an output weighting."""
+    rng = np.random.default_rng(seed)
+    arrays = (rng.standard_normal(shape), rng.standard_normal((o, shape[3], k, k)),
+              rng.standard_normal(o), rng.standard_normal(o))
+    rm, rv = rng.standard_normal(o), rng.random(o) + 0.5
+    return [a.astype(dtype) for a in arrays] + [rm, rv]
+
+
+def _run(op, arrays, stride, padding, mode, grad=True):
+    """Output, both running statistics after the call, and the four gradients."""
+    x, w, gamma, beta = (Tensor(a, requires_grad=grad) for a in arrays[:4])
+    rm, rv = arrays[4].copy(), arrays[5].copy()
+    out = op(x, w, gamma, beta, rm, rv, stride, padding, mode)
+    if grad:
+        g = np.random.default_rng(14).standard_normal(out.shape).astype(out.data.dtype)
+        (out * Tensor(g)).sum().backward()
+    return [out.data, rm, rv] + [t.grad for t in (x, w, gamma, beta) if grad]
+
+
+def _composed(x, w, gamma, beta, rm, rv, stride, padding, mode):
+    return T.relu(batch_norm(conv2d(x, w, stride, padding), gamma, beta, rm, rv, mode))
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("o", WIDTHS, ids=["K-hwc", "K-chw"])
+@pytest.mark.parametrize("k,stride,padding", UNITS, ids=["3x3s1", "3x3s2", "1x1"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_conv_bn_relu_matches_composed_ops(mode, k, stride, padding, o):
+    arrays = _unit(o, k)
+    fused = _run(conv_bn_relu, arrays, stride, padding, mode)
+    ref = _run(_composed, arrays, stride, padding, mode)
+    for name, a, b in zip(["out", "running_mean", "running_var", "dx", "dw", "dgamma", "dbeta"],
+                          fused, ref):
+        assert a.shape == b.shape, name
+        assert _rel(a, b) <= 1e-12, name
+    with T.no_grad():  # the in-place path that keeps no x-hat
+        lean = _run(conv_bn_relu, arrays, stride, padding, mode, grad=False)
+    for name, a, b in zip(["out", "running_mean", "running_var"], lean, ref):
+        assert _rel(a, b) <= 1e-12, name
+
+
+@pytest.mark.parametrize("o", [4, 40], ids=["K-hwc", "K-chw"])  # against 18 GEMM rows
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_conv_bn_relu_gradcheck_f64(mode, o):
+    x, w, gamma, beta, rm, rv = _unit(o, 3, shape=(2, 5, 5, 3), seed=15)
+    params = [Tensor(a, requires_grad=True) for a in (x, w, gamma, beta)]
+    g = Tensor(np.random.default_rng(16).standard_normal((2, 3, 3, o)))
+
+    def f(ps):
+        return (conv_bn_relu(*ps, rm.copy(), rv.copy(), 2, 1, mode) * g).sum()
+
+    assert grad_check(f, params) < 1e-4
+
+
+@pytest.mark.parametrize("o", WIDTHS, ids=["K-hwc", "K-chw"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_conv_bn_relu_f32_agrees_with_f64(mode, o):
+    f64 = _run(conv_bn_relu, _unit(o, 3), 2, 1, mode)
+    f32 = _run(conv_bn_relu, _unit(o, 3, dtype=np.float32), 2, 1, mode)
+    assert [a.dtype for a in f32] == [np.float32] + [np.float64] * 2 + [np.float32] * 4
+    for a, b in zip(f32, f64):
+        assert _rel(a.astype(np.float64), b) <= 1e-5
+
+
+def test_conv_bn_relu_train_rejects_batch_of_one():
+    x, w, gamma, beta, rm, rv = _unit(4, 3, shape=(1, 4, 4, 2))
+    with pytest.raises(NumericError):
+        conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), rm, rv, 1, 1, "train")
+
+
+def test_conv_bn_relu_bad_mode():
+    x, w, gamma, beta, rm, rv = _unit(4, 3, shape=(2, 4, 4, 2))
+    with pytest.raises(ContractError):
+        conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), rm, rv, 1, 1, "test")

@@ -441,8 +441,13 @@ def test_retained_graph_of_a_one_layer_duo_forward_is_pinned():
     took each emitted backbone stage out of NCHW, each scale-token stage
     back into it and the fused map out again are gone; they were views, so
     no byte changed: (148, 87, 1647176) before that.
+    Each of the eleven conv -> BN -> ReLU units (two per backbone stage,
+    one per scale-token conv and the fuse) is one `conv_bn_relu` node that
+    keeps `cols`, x-hat, 1/sigma and its output, where the three composed
+    nodes also kept the conv output and the BN output: (139, 78, 1647176)
+    before that.
     """
     model = DuoFormer(DuoFormerConfig(seed=0, **GUARD))
     images = Tensor(np.random.default_rng(18).standard_normal((2, 64, 64, 3)).astype(np.float32))
     logits = model(images)
-    assert graph_footprint(logits, exclude=model.parameters()) == (139, 78, 1647176)
+    assert graph_footprint(logits, exclude=model.parameters()) == (117, 56, 1534536)

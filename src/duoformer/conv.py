@@ -33,6 +33,11 @@ from .errors import ContractError, DimensionError, NumericError
 from .tensor import Tensor, _from_op, _records
 
 
+def _channels_last_k(n: int, o: int) -> bool:
+    """The lowering rule: K is (kh, kw, C) when the GEMM has n >= O rows."""
+    return n >= o
+
+
 def _lower(x: Tensor, w: Tensor, stride: int, padding: int):
     """Check a conv of [B,H,W,C] with [O,C,kh,kw]; return (cols [n, K], [B,Ho,Wo,O])."""
     if x.ndim != 4 or w.ndim != 4:
@@ -54,7 +59,7 @@ def _lower(x: Tensor, w: Tensor, stride: int, padding: int):
         xp = x.data
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     n = bsz * ho * wo
-    if n >= o:
+    if _channels_last_k(n, o):
         win = win.transpose(0, 1, 2, 4, 5, 3)  # [B,Ho,Wo,kh,kw,C]
     return win.reshape(n, c * kh * kw), (bsz, ho, wo, o)
 
@@ -62,7 +67,7 @@ def _lower(x: Tensor, w: Tensor, stride: int, padding: int):
 def _wmat(w: np.ndarray, n: int) -> np.ndarray:
     """The [O, K] weight in the K order `_lower` gives n GEMM rows."""
     o = w.shape[0]
-    return (w.transpose(0, 2, 3, 1) if n >= o else w).reshape(o, -1)
+    return (w.transpose(0, 2, 3, 1) if _channels_last_k(n, o) else w).reshape(o, -1)
 
 
 def _conv_grads(dz: np.ndarray, cols: np.ndarray, x: Tensor, w: Tensor,
@@ -71,15 +76,16 @@ def _conv_grads(dz: np.ndarray, cols: np.ndarray, x: Tensor, w: Tensor,
     n, o = dz.shape
     bsz, h, wid, c = x.shape
     _, _, kh, kw = w.shape
+    k_last = _channels_last_k(n, o)
     if w.requires_grad:
         dw = dz.T @ cols
-        w._accum(dw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2) if n >= o
+        w._accum(dw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2) if k_last
                  else dw.reshape(w.shape), owned=True)
     if x.requires_grad:
         hp, wp = h + 2 * padding, wid + 2 * padding
         ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
         dcols = dz @ _wmat(w.data, n)
-        if n >= o:
+        if k_last:
             dcols = dcols.reshape(bsz, ho, wo, kh, kw, c)
         else:
             dcols = dcols.reshape(bsz, ho, wo, c, kh, kw).transpose(0, 1, 2, 4, 5, 3)

@@ -9,12 +9,15 @@ the checkout first. Run length and settings are perfbench's own, the same
 on both sides. For each workload and each end-to-end metric of
 `BENCHMARK.json`, it prints both sides' median and quartiles, the relative
 change of the median against the metric's bound, and in how many pairs the
-checkout was better (ties count for neither side).
+checkout was better (ties count for neither side). A metric is marked GAIN
+when the checkout was better in at least nine tenths of the pairs and its
+median moved in the better direction by more than the distance between
+REV's quartiles, and WORSE when its median got worse by more than the bound.
 
 `--json PATH` also writes what it prints: both revisions, each side's
 environment as perfbench records it (BLAS, BLAS threads, CPU count, `src/`
 line count), and per workload and metric the pair count, each side's values,
-median and quartiles, and the wins.
+median and quartiles, the wins and both marks.
 
     python3 scripts/benchpairs.py HEAD~1 --workload train-paper --pairs 10
     python3 scripts/benchpairs.py HEAD~1 --json BENCH_13.json
@@ -66,7 +69,7 @@ def stats(values: list) -> dict:
 
 
 def summarize(spec: list, pairs: list) -> dict:
-    """Per-metric medians, quartiles and wins over (rev run, checkout run) pairs."""
+    """Per-metric medians, quartiles, wins and marks over (rev run, checkout run) pairs."""
     n = len(pairs)
     out = {"pairs": n, "failed": [sum(r["failed"] for r in runs) for runs in zip(*pairs)],
            "loss_end_equal": sum(a["metrics"].get("loss_end") == b["metrics"].get("loss_end")
@@ -81,10 +84,11 @@ def summarize(spec: list, pairs: list) -> dict:
         sign = 1.0 if m["better"] == "lower" else -1.0
         o, c = stats(old), stats(new)
         change = (c["median"] - o["median"]) / abs(o["median"]) if o["median"] else 0.0
+        wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": n,
-            "rev": o, "checkout": c, "change": change,
-            "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)),
+            "rev": o, "checkout": c, "change": change, "wins": wins,
+            "gain": 10 * wins >= 9 * n and sign * (o["median"] - c["median"]) > o["q3"] - o["q1"],
             "worse": sign * change > m["bound"]}
     return out
 
@@ -105,7 +109,7 @@ def report(workload: str, spec: list, summary: dict, rev: str) -> None:
         print(f"  {name:<14} {o['median']:>14.6g} [{o['q1']:.6g}, {o['q3']:.6g}]"
               f" {c['median']:>14.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
               f" {s['change']:>+8.2%} {s['bound']:>6g} {s['wins']:>3}/{n}"
-              f"{' WORSE' if s['worse'] else ''}")
+              f"{' GAIN' if s['gain'] else ''}{' WORSE' if s['worse'] else ''}")
     print(f"  loss_end equal in {summary['loss_end_equal']}/{n} pairs")
 
 

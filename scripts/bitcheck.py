@@ -11,8 +11,10 @@ compared array by array (dtype, shape and bytes, so the sign of zero
 counts). On any difference it prints, for each config/dtype pair, how many
 of its arrays differ, the largest relative difference max |a - b| / max |a|
 over its differing float arrays (the byte records, config and checkpoint,
-are counted but not sized), and the name of its first differing record,
-then the first difference overall, and exits 1.
+are counted but not sized) with the record that holds it and that record's
+max |a|, so a difference against a reference near zero shows as one, and
+the name of its first differing record, then the first difference overall,
+and exits 1.
 
     python3 scripts/bitcheck.py HEAD~1
 """
@@ -109,6 +111,11 @@ def pair(name: str) -> str:
     return "/".join(name.split("/")[:3])
 
 
+def magnitude(a: np.ndarray) -> "float | None":
+    """max |a| of a non-empty float record; None for a byte or empty record."""
+    return float(np.abs(a).max()) if a.dtype.kind == "f" and a.size else None
+
+
 def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| / max |a| of a differing float record; 0 for a byte record,
     inf for a dtype or shape change or an all-zero `a`."""
@@ -160,14 +167,21 @@ def main(argv=None) -> int:
     if bad:
         totals = collections.Counter(pair(name) for name in old_names)
         differing = collections.Counter(pair(name) for name, _, _ in bad)
-        firsts, gaps = {}, collections.defaultdict(float)
+        firsts, worst = {}, {}  # per pair: first record; (gap, record, max |a|) of the largest gap
         for name, a, b in bad:
-            firsts.setdefault(pair(name), name[len(pair(name)) + 1:])
-            gaps[pair(name)] = max(gaps[pair(name)], relative_gap(a, b))
+            tag, where = pair(name), name[len(pair(name)) + 1:]
+            firsts.setdefault(tag, where)
+            gap = relative_gap(a, b)
+            if tag not in worst or gap > worst[tag][0]:
+                worst[tag] = (gap, where, magnitude(a))
         for tag, total in totals.items():
-            first = (f", largest relative difference {gaps[tag]:.1e}; first: {firsts[tag]}"
-                     if tag in firsts else "")
-            print(f"{tag}: {differing[tag]} of {total} arrays differ{first}")
+            detail = ""
+            if tag in firsts:
+                gap, where, top = worst[tag]
+                top = "" if top is None else f", max |a| {top:.1e}"
+                detail = (f", largest relative difference {gap:.1e} in {where}{top}; "
+                          f"first: {firsts[tag]}")
+            print(f"{tag}: {differing[tag]} of {total} arrays differ{detail}")
         name, a, b = bad[0]
         print(f"DIFF: {len(bad)} arrays differ; first: {name}: {describe(a, b)}")
         return 1

@@ -10,8 +10,11 @@ When the readout consumes the token tensor itself (first_token,
 avg_tokens, scale_attn_only_fc) the final layer needs no patch attention
 and none is created. Every readout but avg_tokens reads scale row 0 of
 the final layer only, so that layer's scale block takes row 0 alone as
-its query: LN1, keys and values still cover all scale rows, but the
-attention output, residuals, LN2 and FFN run on that one row.
+its query: LN1 still covers all scale rows, which row 0 attends over, but
+no key or value is formed (``tensor.attention`` folds the key and value
+weights into the query row, and the key bias, which softmax cancels, gets
+a gradient of exactly 0), and the attention output, residuals, LN2 and
+FFN run on that one row.
 """
 
 from __future__ import annotations
@@ -78,9 +81,11 @@ class DuoLayer(Module):
     def scale_block(self, x: Tensor, queries: int | None = None) -> Tensor:
         """Pre-norm block over the scale axis of [B, S(+1), N, D].
 
-        LN1, keys and values cover every scale row; the queries, residuals,
-        LN2 and FFN only the first ``queries`` rows (all when None), which
-        are the rows returned: [B, queries, N, D].
+        LN1 covers every scale row, and the first ``queries`` rows (all when
+        None) attend over all of them; the residuals, LN2 and FFN cover
+        those rows only, which are the rows returned: [B, queries, N, D].
+        With ``queries`` set no key or value is formed, and the key bias
+        gets a gradient of exactly 0 (``tensor.attention``).
         """
         xt = x.transpose((0, 2, 1, 3))  # patches become batch
         h = self.scale(self.ln1(xt), queries=queries)

@@ -7,8 +7,9 @@ stats) by assignment order. Dotted names follow attribute paths, so
 of `layer0` of `encoder`.
 
 Layers build their parameters in f64, the precision of the initializers'
-draws. `DuoFormer` casts the whole tree to its configured dtype once, with
-`to_dtype`, so f32 parameters are the f64 ones rounded.
+draws. `DuoFormer` casts each component to its configured dtype with
+`to_dtype` as soon as it is built, so f32 parameters are the f64 ones
+rounded.
 """
 
 from __future__ import annotations

@@ -39,20 +39,26 @@ class DuoFormer(Module):
         if cfg.attention_mode == "patch_only":
             stages = stages[-1:]  # the hybrid baseline tokenizes the deepest stage only
         self.stage_indices = stages
+        # each component is drawn in f64, the draws' precision, and cast as soon
+        # as it is built, so no more than one of them is ever alive in f64
+        dtype = DTYPES[cfg.dtype]
 
-        self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"), stages=stages)
+        self.backbone = ToyBackbone(cfg.channels, stream.child("backbone"),
+                                    stages=stages).to_dtype(dtype)
         self.proj = Module()
         for i in stages:
             setattr(self.proj, f"stage{i}",
                     Linear(cfg.channels[i], cfg.embed_dim,
                            stream.child("proj").child(f"stage{i}").generator()))
+        self.proj.to_dtype(dtype)
         self.token_count = sum(count for _, _, count in
                                scale_layout(cfg.input_size, cfg.patch_count, stages))
 
         if cfg.attention_mode == "patch_only":
             depth = cfg.patch_only_layers or cfg.layers
             self.encoder = PatchEncoder(cfg.embed_dim, cfg.heads, depth, cfg.patch_count,
-                                        stream.child("encoder"), pos_patch=cfg.pos_patch)
+                                        stream.child("encoder"),
+                                        pos_patch=cfg.pos_patch).to_dtype(dtype)
         else:
             if cfg.scale_token_mode == "fused":
                 self.scale_token = FusedScaleToken(stages, cfg.channels, cfg.input_size,
@@ -61,14 +67,17 @@ class DuoFormer(Module):
             elif cfg.scale_token_mode == "learnable":
                 self.scale_token = LearnableScaleToken(cfg.patch_count, cfg.embed_dim,
                                                        stream.child("scale_token"))
+            if cfg.scale_token_mode != "none":
+                self.scale_token.to_dtype(dtype)
             scale_extent = self.token_count + (cfg.scale_token_mode != "none")
             self.encoder = DuoEncoder(cfg.embed_dim, cfg.heads, cfg.layers, scale_extent,
                                       cfg.patch_count, stream.child("encoder"),
                                       mode=cfg.attention_mode, readout=cfg.readout,
-                                      pos_scale=cfg.pos_scale, pos_patch=cfg.pos_patch)
+                                      pos_scale=cfg.pos_scale,
+                                      pos_patch=cfg.pos_patch).to_dtype(dtype)
 
-        self.head = Linear(cfg.embed_dim, cfg.num_classes, stream.child("head").generator())
-        self.to_dtype(DTYPES[cfg.dtype])  # built in f64, the draws' precision
+        self.head = Linear(cfg.embed_dim, cfg.num_classes,
+                           stream.child("head").generator()).to_dtype(dtype)
 
     # ---- forward ----------------------------------------------------------------
 

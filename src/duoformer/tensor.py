@@ -48,10 +48,13 @@ ops with one node and a hand-written backward:
   the reshaped input, ``qkv``, the softmax probabilities and the merged
   heads; q, k and v are views of ``qkv``. Neither the raw and scaled scores
   nor the pre-merge heads outlive the forward. With ``queries`` = nq, the
-  first nq tokens of each sequence are the queries and all t tokens are
-  keys and values: the one qkv GEMM still covers every row, q is the view
-  of its first nq rows, and the probabilities [.., heads, nq, t], the
-  merged heads, the projection and the output cover nq rows only.
+  first nq tokens of each sequence are the only queries, and no key or
+  value is formed: q is projected from those nq rows, each head's key
+  weights fold into its query (q~ = q_h Wk,h^T) and its value weights
+  into the attention-weighted input (u = p x, then u Wv,h + bv,h). The key
+  bias adds one constant to every score of a row, which softmax cancels,
+  so it is left out and its gradient is exactly 0. Every array the op
+  keeps but x is nq rows wide.
 * ``ffn(x, w1, b1, w2, b2)`` keeps fc1's output and ``tanh(u)``. Its
   backward, which runs once, consumes them: fc1's output gradient is
   written over the GELU output's gradient, and the GELU output, which
@@ -65,8 +68,9 @@ the same order, with the kernels the primitive ops use (``_mm``, ``_softmax``,
 the GELU chunks, ``_accum_rhs_grad``, ``_unbroadcast``); only q, k and v enter
 their products as strided views of ``qkv`` instead of copies. Values and
 gradients match the composed graph bit for bit (``tests/test_fused_ops.py``).
-Attention with ``queries`` set has no composed twin; in f64 it matches the
-first rows of the full op to a relative 1e-12, output and gradients alike.
+Attention with ``queries`` set has no composed twin and its own backward in
+the same folded form; in f64 it matches the first rows of the full op to a
+relative 1e-12, output and gradients alike.
 """
 
 from __future__ import annotations
@@ -722,6 +726,12 @@ def _split_heads(qkv: np.ndarray, heads: int):
     return parts[0], parts[1], parts[2]
 
 
+def _column_heads(w: np.ndarray, heads: int) -> np.ndarray:
+    """A [d, n] weight's contiguous column heads as a [heads, d, n / heads] view."""
+    d, n = w.shape
+    return w.reshape((d, heads, n // heads)).transpose((1, 0, 2))
+
+
 def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tensor,
               heads: int, queries: int | None = None):
     """Multi-head self-attention over the second-to-last axis of x [*lead, t, d].
@@ -731,20 +741,24 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
     the weighted sum of v, the head merge and the output projection. All
     leading axes are batch. The first ``queries`` tokens of each sequence
     (all t when None) are the queries; all t tokens are keys and values.
+    With ``queries`` set no key or value is formed: the key and value
+    weights fold into the query rows (``_query_rows_attention``), and the
+    key bias, which softmax cancels, gets a gradient of exactly 0.
     Returns the output Tensor [*lead, nq, d] and the attention probabilities
     [prod(lead), heads, nq, t] as an ndarray, with nq = queries or t.
     """
     if x.ndim < 2:
         raise DimensionError(f"attention needs [..., tokens, dim] input, got {x.shape}")
     *lead, t, d = x.shape
-    nq = t if queries is None else queries
-    if not 1 <= nq <= t:
+    if queries is not None and not 1 <= queries <= t:
         raise DimensionError(f"attention: {queries} queries out of {t} tokens")
     _check_affine("attention qkv", x, d, wqkv, bqkv)
     _check_affine("attention proj", x, d, wproj, bproj)
     if wqkv.shape[1] != 3 * d or d % heads:
         raise DimensionError(f"attention: qkv width {wqkv.shape[1]} is not 3 x {d} "
                              f"split over {heads} heads")
+    if queries is not None:
+        return _query_rows_attention(x, wqkv, bqkv, wproj, bproj, heads, queries)
     bsz = math.prod(lead)
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
@@ -752,18 +766,18 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
     qkv = _mm(x2, wqkv.data)
     qkv += bqkv.data
     q, k, v = _split_heads(qkv, heads)
-    scores = np.matmul(q[:, :, :nq], np.swapaxes(k, -1, -2))
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
     scores *= c
     probs = _softmax(scores, -1)
     del scores
-    merged = np.matmul(probs, v).transpose((0, 2, 1, 3)).reshape((bsz, nq, d))
+    merged = np.matmul(probs, v).transpose((0, 2, 1, 3)).reshape((bsz, t, d))
     out_data = _mm(merged, wproj.data)
     out_data += bproj.data
 
     def bw(g):
-        g = g.reshape((bsz, nq, wproj.shape[1]))
+        g = g.reshape((bsz, t, wproj.shape[1]))
         dm = _linear_grad(merged, wproj, bproj, g)
-        do = np.ascontiguousarray(dm.reshape((bsz, nq, heads, dh)).transpose((0, 2, 1, 3)))
+        do = np.ascontiguousarray(dm.reshape((bsz, t, heads, dh)).transpose((0, 2, 1, 3)))
         del dm
         q, k, v = _split_heads(qkv, heads)
         dp = np.matmul(do, np.swapaxes(v, -1, -2))
@@ -773,11 +787,11 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
         del dp
         ds *= c
         dq = np.matmul(ds, k)
-        dkt = np.matmul(np.swapaxes(q[:, :, :nq], -1, -2), ds)
+        dkt = np.matmul(np.swapaxes(q, -1, -2), ds)
         del ds
         dqkv = np.zeros_like(qkv)
         parts = dqkv.reshape((bsz, t, 3, heads, dh))
-        parts[:, :nq, 0] += dq.transpose((0, 2, 1, 3))
+        parts[:, :, 0] += dq.transpose((0, 2, 1, 3))
         parts[:, :, 1] += dkt.transpose((0, 3, 1, 2))
         parts[:, :, 2] += dv.transpose((0, 2, 1, 3))
         del dq, dkt, dv
@@ -788,6 +802,83 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
     out = _from_op(out_data.reshape(tuple(lead) + out_data.shape[-2:]),
                    (x, wqkv, bqkv, wproj, bproj), bw)
     return out, probs
+
+
+def _query_rows_attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor,
+                          bproj: Tensor, heads: int, nq: int):
+    """``attention`` whose only queries are the first nq tokens of each sequence.
+
+    Per head h, with Wk,h and Wv,h its [d, dh] key and value columns and
+    q = x[:nq] Wq + bq: q~ = q_h Wk,h^T / sqrt(dh), p = softmax(q~ x^T),
+    u = p x and o_h = u Wv,h + bv,h. The key bias adds q_h . bk,h to every
+    score of a row, which softmax cancels, so it is left out and its
+    gradient is 0. Keys and values of all t tokens are never formed; the
+    backward keeps x, q, q~, p, u and the merged heads, all nq rows wide
+    but x. Per-head products run as one GEMM per head over all sequences
+    ([heads, bsz * nq, .]); products with x as one per sequence
+    ([*lead, heads * nq, .]).
+    """
+    *lead, t, d = x.shape
+    bsz = math.prod(lead)
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def per_sequence(a):  # [heads, bsz * nq, k] -> [*lead, heads * nq, k]
+        k = a.shape[-1]
+        return a.reshape((heads, bsz, nq, k)).transpose((1, 0, 2, 3)).reshape(
+            tuple(lead) + (heads * nq, k))
+
+    def per_head(a):  # [*lead, heads * nq, k] -> [heads, bsz * nq, k]
+        k = a.shape[-1]
+        return a.reshape((bsz, heads, nq, k)).transpose((1, 0, 2, 3)).reshape(
+            (heads, bsz * nq, k))
+
+    xs = x.data
+    xq = xs[..., :nq, :]
+    wq, wk, wv = (wqkv.data[:, i * d:(i + 1) * d] for i in range(3))
+    wkh, wvh = _column_heads(wk, heads), _column_heads(wv, heads)
+    q = _mm(xq, wq)
+    q += bqkv.data[:d]
+    qh = q.reshape((bsz * nq, heads, dh)).transpose((1, 0, 2))
+    qk = np.matmul(qh, np.swapaxes(wkh, -1, -2))
+    qk *= c
+    qk = per_sequence(qk)
+    probs = _softmax(np.matmul(qk, np.swapaxes(xs, -1, -2)), -1)
+    u = per_head(np.matmul(probs, xs))
+    o = np.matmul(u, wvh)
+    o += bqkv.data[2 * d:].reshape((heads, 1, dh))
+    merged = o.transpose((1, 0, 2)).reshape(tuple(lead) + (nq, d))
+    out_data = _mm(merged, wproj.data)
+    out_data += bproj.data
+
+    def bw(g):
+        dm = _linear_grad(merged, wproj, bproj, g)
+        do = dm.reshape((bsz * nq, heads, dh)).transpose((1, 0, 2))
+        dw = np.empty_like(wqkv.data)
+        db = np.zeros_like(bqkv.data)
+        db[2 * d:] = _rows(dm).sum(axis=0)
+        _column_heads(dw[:, 2 * d:], heads)[...] = np.matmul(np.swapaxes(u, -1, -2), do)
+        du = per_sequence(np.matmul(do, np.swapaxes(wvh, -1, -2)))
+        ds = _softmax_grad(np.matmul(du, np.swapaxes(xs, -1, -2)), probs, -1)
+        # x's gradient through u = p x and the scores q~ x^T, as one product
+        dx = np.matmul(np.swapaxes(np.concatenate([probs, ds], axis=-2), -1, -2),
+                       np.concatenate([du, qk], axis=-2), out=np.empty_like(xs))
+        ds *= c
+        dqk = per_head(np.matmul(ds, xs))
+        _column_heads(dw[:, d:2 * d], heads)[...] = np.matmul(np.swapaxes(dqk, -1, -2), qh)
+        dq = np.matmul(dqk, wkh).transpose((1, 0, 2)).reshape(q.shape)
+        db[:d] = _rows(dq).sum(axis=0)
+        dw[:, :d] = _rows(xq).T @ _rows(dq)
+        dx[..., :nq, :] += _mm(dq, wq.T)
+        if bqkv.requires_grad:
+            bqkv._accum(db, owned=True)
+        if wqkv.requires_grad:
+            wqkv._accum(dw, owned=True)
+        if x.requires_grad:
+            x._accum(dx, owned=True)
+
+    out = _from_op(out_data, (x, wqkv, bqkv, wproj, bproj), bw)
+    return out, probs.reshape((bsz, heads, nq, t))
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -224,9 +224,11 @@ def _first_rows_run(shape, layout, dtype, queries, rows):
     return [out[..., :rows, :], attn[:, :, :rows]] + grads
 
 
-@pytest.mark.parametrize("queries", [1, 3])
+@pytest.mark.parametrize("queries", [1, 3, "t"])
 @pytest.mark.parametrize("shape,layout", LAYOUTS[:2])
 def test_attention_queries_match_the_first_rows_of_the_full_op(shape, layout, queries):
+    if queries == "t":  # every row is a query, still through the folded form
+        queries = shape[-2]
     got = _first_rows_run(shape, layout, np.float64, queries, queries)
     want = _first_rows_run(shape, layout, np.float64, None, queries)
     for a, b in zip(got, want):
@@ -252,6 +254,20 @@ def test_attention_gradcheck_f64():
 
     def f(ps):  # the op sees the transposed scale-block layout
         return (T.attention(ps[0].transpose((0, 2, 1, 3)), *ps[1:], 3)[0] * g).sum()
+
+    assert grad_check(f, [x] + params) < 1e-4
+
+
+@pytest.mark.parametrize("shape,layout", LAYOUTS[:2])
+def test_attention_with_queries_gradcheck_f64(shape, layout):
+    rng = np.random.default_rng(22)
+    shape = shape[:-1] + (8,)
+    x = _input(shape, layout, np.float64, rng)
+    params = _attention_params(rng, np.float64, 8)
+    g = Tensor(rng.standard_normal(shape[:-2] + (2, 8)))
+
+    def f(ps):
+        return (T.attention(ps[0], *ps[1:], 2, 2)[0] * g).sum()
 
     assert grad_check(f, [x] + params) < 1e-4
 
@@ -390,6 +406,20 @@ def test_attention_keeps_qkv_probabilities_merged_heads_and_output():
     assert nbytes == 8 * (b * t * 3 * d + b * h * t * t + b * t * d + b * t * d)
 
 
+def test_attention_with_queries_keeps_no_key_or_value_array():
+    """The folded form keeps x, which the graph holds anyway, and arrays
+    nq rows wide; the qkv projection it replaces was bsz * t * 3d."""
+    b, t, d, h = 3, 9, 8, 2
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((b, t, d)), requires_grad=True)
+    params = _attention_params(rng, np.float64, d)
+    out, _ = T.attention(x, *params, h, queries=1)
+    kept = {id(_root_buffer(a)): _root_buffer(a) for a in _closure_arrays(out._backward)}
+    for p in params:
+        kept.pop(id(_root_buffer(p.data)), None)
+    assert kept and max(a.size for a in kept.values()) < b * t * 2 * d
+
+
 def test_ffn_keeps_fc1_output_tanh_and_output():
     rows, d = 7, 6
     rng = np.random.default_rng(17)
@@ -446,8 +476,11 @@ def test_retained_graph_of_a_one_layer_duo_forward_is_pinned():
     keeps `cols`, x-hat, 1/sigma and its output, where the three composed
     nodes also kept the conv output and the BN output: (139, 78, 1647176)
     before that.
+    The row-0 scale block forms no keys or values: its attention keeps q,
+    q~ and u, each one row per head, where it kept the [8, 86, 96] f32
+    qkv projection: (117, 56, 1534536) before that.
     """
     model = DuoFormer(DuoFormerConfig(seed=0, **GUARD))
     images = Tensor(np.random.default_rng(18).standard_normal((2, 64, 64, 3)).astype(np.float32))
     logits = model(images)
-    assert graph_footprint(logits, exclude=model.parameters()) == (117, 56, 1534536)
+    assert graph_footprint(logits, exclude=model.parameters()) == (117, 56, 1279560)

@@ -193,7 +193,7 @@ def test_gradient_reaches_an_input_of_another_dtype(kind, model_dtype, input_dty
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_f32_parameters_are_the_f64_ones_rounded(suite):
-    """One home for the dtype: the f32 build is the f64 build cast once; BN stats stay f64."""
+    """One home for the dtype: the f32 build is the f64 build cast; BN stats stay f64."""
     for _, cfg in suite_grid(suite, 64, 4):
         built = {d: DuoFormer(replace(cfg, dtype=d)) for d in DTYPES}
         f64 = dict(built["f64"].named_parameters())
@@ -204,6 +204,27 @@ def test_f32_parameters_are_the_f64_ones_rounded(suite):
             stats = dict(m.named_state())
             assert stats and all(name.rsplit(".", 1)[1] in ("running_mean", "running_var")
                                  and arr.dtype == np.float64 for name, arr in stats.items())
+
+
+def test_backbone_is_cast_before_the_encoder_is_built(monkeypatch):
+    """Each component is cast as soon as it is built, so the f64 draws of
+    the backbone and of the encoder are never alive together."""
+    import duoformer.model as model_mod
+    make_backbone, make_encoder = model_mod.ToyBackbone, model_mod.DuoEncoder
+    backbones, seen = [], []
+
+    def backbone(*args, **kwargs):
+        backbones.append(make_backbone(*args, **kwargs))
+        return backbones[-1]
+
+    def encoder(*args, **kwargs):
+        seen.append({p.dtype for p in backbones[-1].parameters()})
+        return make_encoder(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "ToyBackbone", backbone)
+    monkeypatch.setattr(model_mod, "DuoEncoder", encoder)
+    DuoFormer(_cfg(dtype="f32"))
+    assert seen == [{np.dtype(np.float32)}]
 
 
 _PATCH_ONLY = dict(attention_mode="patch_only", readout="avg_tokens", scale_token_mode="none")

@@ -6,13 +6,14 @@ Exports REV with `git archive` into a temporary directory (as
 --seed i` once in REV's tree and once in this checkout, each in a fresh
 process and one after the other; even pairs run REV first, odd pairs run
 the checkout first. Run length and settings are perfbench's own, the same
-on both sides. For each workload and each end-to-end metric of
-`BENCHMARK.json`, it prints both sides' median and quartiles, the relative
-change of the median against the metric's bound, and in how many pairs the
-checkout was better (ties count for neither side). A metric is marked GAIN
-when the checkout was better in at least nine tenths of the pairs and its
-median moved in the better direction by more than the distance between
-REV's quartiles, and WORSE when its median got worse by more than the bound.
+on both sides. It prints both sides' `src/` line counts, then for each
+workload and each end-to-end metric of `BENCHMARK.json` both sides' median
+and quartiles, the relative change of the median against the metric's
+bound, and in how many pairs the checkout was better (ties count for
+neither side). A metric is marked GAIN when the checkout was better in at
+least nine tenths of the pairs and its median moved in the better
+direction by more than the distance between REV's quartiles, and WORSE
+when its median got worse by more than the bound.
 
 `--json PATH` also writes what it prints: both revisions, each side's
 environment as perfbench records it (BLAS, BLAS threads, CPU count, `src/`
@@ -149,11 +150,13 @@ def main(argv=None) -> int:
                           f"failed {r['failed']}", flush=True)
                 results[w].append(tuple(runs))
     summaries = {w: summarize(spec, results[w]) for w in workloads}
+    envs = [run["env"] for run in results[workloads[0]][0]]
+    print(f"\nsrc/ lines: {envs[0]['src_lines']} ({args.rev}), {envs[1]['src_lines']} (checkout)")
     for w in workloads:
         report(w, spec, summaries[w], args.rev)
     if args.json:
-        for name, run in zip(revs, results[workloads[0]][0]):
-            revs[name]["env"] = run["env"]
+        for name, env in zip(revs, envs):
+            revs[name]["env"] = env
         with open(args.json, "w") as f:
             json.dump(dict(revs, workloads=summaries), f, indent=1)
             f.write("\n")

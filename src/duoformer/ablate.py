@@ -22,7 +22,7 @@ import numpy as np
 
 from .backbone import STAGE_INDICES
 from .config import DuoFormerConfig, TrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import DuoFormer, count_parameters
 from .trainer import train
 
@@ -133,6 +133,8 @@ def run_suite(suite: str, images: np.ndarray, labels: np.ndarray,
               train_cfg: TrainConfig = SUITE_TRAIN, log=None) -> dict:
     """Run one suite end to end; `log` gets a line per finished run. Returns the report."""
     train_cfg.validate()
+    if not len(labels):
+        raise ContractError("the dataset has no samples")
     grid = suite_grid(suite, int(images.shape[1]), int(labels.max()) + 1)
     jobs = [(config_id, replace(cfg, seed=s), replace(train_cfg, seed=s))
             for config_id, cfg in grid for s in seeds]

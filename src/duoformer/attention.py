@@ -6,15 +6,17 @@ FFN, over the patch axis on the scale-token slice. The patch-attention
 output is written back into scale index 0, so the next layer's scale
 attention sees patch-level context through that single conduit.
 
-When the readout consumes the token tensor itself (first_token,
-avg_tokens, scale_attn_only_fc) the final layer needs no patch attention
-and none is created. Every readout but avg_tokens reads scale row 0 of
-the final layer only, so that layer's scale block takes row 0 alone as
-its query: LN1 still covers all scale rows, which row 0 attends over, but
-no key or value is formed (``tensor.attention`` folds the key and value
-weights into the query row, and the key bias, which softmax cancels, gets
-a gradient of exactly 0), and the attention output, residuals, LN2 and
-FFN run on that one row.
+Both the scale block and the hybrid baseline's block are
+``_pre_norm_block``. ``_READOUTS`` maps each readout to the query rows of
+the last scale block and to whether the last layer has patch attention:
+readouts that consume the token tensor itself (first_token, avg_tokens,
+scale_attn_only_fc) need none, and none is created. Every readout but
+avg_tokens reads scale row 0 of the final layer only, so that layer's
+scale block takes row 0 alone as its query: LN1 still covers all scale
+rows, which row 0 attends over, but no key or value is formed
+(``tensor.attention`` folds the key and value weights into the query row,
+and the key bias, which softmax cancels, gets a gradient of exactly 0),
+and the attention output, residuals, LN2 and FFN run on that one row.
 """
 
 from __future__ import annotations
@@ -65,6 +67,20 @@ class FFN(Module):
         return T.ffn(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 
+def _pre_norm_block(x: Tensor, ln1: LayerNorm, attn: MSA, ln2: LayerNorm, ffn: FFN,
+                    queries: int | None = None) -> Tensor:
+    """y = x + attn(ln1(x)), then y + ffn(ln2(y)), over the second-to-last axis.
+
+    LN1 covers every row; only the first ``queries`` rows (all when None)
+    attend over them, and only those rows go on and are returned.
+    """
+    h = attn(ln1(x), queries=queries)
+    if queries is not None:
+        x = x[..., :queries, :]
+    y = x + h
+    return y + ffn(ln2(y))
+
+
 class DuoLayer(Module):
     """One scale-attention block plus (optionally) one patch attention."""
 
@@ -79,20 +95,9 @@ class DuoLayer(Module):
         self.with_patch = with_patch
 
     def scale_block(self, x: Tensor, queries: int | None = None) -> Tensor:
-        """Pre-norm block over the scale axis of [B, S(+1), N, D].
-
-        LN1 covers every scale row, and the first ``queries`` rows (all when
-        None) attend over all of them; the residuals, LN2 and FFN cover
-        those rows only, which are the rows returned: [B, queries, N, D].
-        With ``queries`` set no key or value is formed, and the key bias
-        gets a gradient of exactly 0 (``tensor.attention``).
-        """
+        """Pre-norm block over the scale axis of [B, S(+1), N, D] -> [B, queries, N, D]."""
         xt = x.transpose((0, 2, 1, 3))  # patches become batch
-        h = self.scale(self.ln1(xt), queries=queries)
-        if queries is not None:
-            xt = xt[:, :, :queries]
-        y = xt + h
-        y = y + self.ffn(self.ln2(y))
+        y = _pre_norm_block(xt, self.ln1, self.scale, self.ln2, self.ffn, queries)
         return y.transpose((0, 2, 1, 3))
 
     def patch_attention(self, scale_tokens: Tensor) -> Tensor:
@@ -102,15 +107,21 @@ class DuoLayer(Module):
         return scale_tokens + self.patch(scale_tokens)
 
 
+# readout -> (query rows of the last scale block, None for all of them;
+# whether the last layer's patch attention output is the readout)
+_READOUTS = {"scale_token_patch_attn": (1, True), "first_token": (1, False),
+             "scale_attn_only_fc": (1, False), "avg_tokens": (None, False)}
+
+
 class DuoEncoder(Module):
     """L stacked duo layers over [B, S(+1), N, D] -> readout [B, N, D].
 
     scale_pos is added once before layer 1; patch_pos is added to the
     conduit entering the first patch attention. Both are zero-initialized
-    and optional. The readout decides how many rows the last scale block
-    returns: scale row 0 alone (``scale_block(x, queries=1)``) for
-    scale_token_patch_attn, first_token and scale_attn_only_fc, every row
-    for avg_tokens, whose mean reads them all.
+    and optional. The readout is the last patch attention's output when
+    the last layer has one (scale_token_patch_attn in duo mode), else the
+    last scale block's row 0, which it then returns alone (first_token,
+    scale_attn_only_fc), or the mean of all its rows (avg_tokens).
     """
 
     def __init__(self, embed_dim: int, heads: int, layers: int, scale_extent: int,
@@ -122,11 +133,13 @@ class DuoEncoder(Module):
             raise ConfigError(f"encoder needs layers >= 1, got {layers}")
         if mode not in ("duo", "scale_only"):
             raise ConfigError(f"encoder mode must be duo or scale_only, got {mode!r}")
+        if readout not in _READOUTS:
+            raise ConfigError(f"unknown readout {readout!r}; valid: {', '.join(_READOUTS)}")
         self.layer_count = layers
-        self.readout = readout
+        self._last_queries, reads_patch = _READOUTS[readout]
         patch_layers = 0
         if mode == "duo":
-            patch_layers = layers if readout == "scale_token_patch_attn" else layers - 1
+            patch_layers = layers if reads_patch else layers - 1
         for i in range(layers):
             setattr(self, f"layer{i}",
                     DuoLayer(embed_dim, heads, stream.child(f"layer{i}"),
@@ -146,11 +159,8 @@ class DuoEncoder(Module):
                 raise DimensionError(
                     f"scale extent {s} does not match positional table {self.scale_pos.shape}")
             x = x + self.scale_pos.reshape((1, s, 1, d))
-        out = None
-        last_queries = 1 if self.readout in ("scale_token_patch_attn", "first_token",
-                                             "scale_attn_only_fc") else None
         for i, layer in enumerate(self.layers()):
-            x = layer.scale_block(x, last_queries if i + 1 == self.layer_count else None)
+            x = layer.scale_block(x, self._last_queries if i + 1 == self.layer_count else None)
             if not layer.with_patch:
                 continue
             conduit = x[:, 0]  # [B, N, D]
@@ -159,13 +169,9 @@ class DuoEncoder(Module):
             out = layer.patch_attention(conduit)
             if i + 1 < self.layer_count:
                 x = T.concat([out.reshape((b, 1, n, d)), x[:, 1:]], axis=1)
-        if self.readout == "scale_token_patch_attn":
+        if layer.with_patch:  # the last layer's patch attention output is the readout
             return out
-        if self.readout in ("first_token", "scale_attn_only_fc"):
-            return x[:, 0]
-        if self.readout == "avg_tokens":
-            return x.mean(axis=1)
-        raise ConfigError(f"unknown readout {self.readout!r}")
+        return x.mean(axis=1) if self._last_queries is None else x[:, 0]
 
 
 class TransformerBlock(Module):
@@ -179,8 +185,7 @@ class TransformerBlock(Module):
         self.ffn = FFN(embed_dim, stream.child("ffn"))
 
     def forward(self, x):
-        x = x + self.attn(self.ln1(x))
-        return x + self.ffn(self.ln2(x))
+        return _pre_norm_block(x, self.ln1, self.attn, self.ln2, self.ffn)
 
 
 class PatchEncoder(Module):

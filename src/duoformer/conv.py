@@ -18,8 +18,8 @@ normalize, scale, shift and ReLU run in place. A recorded node keeps
 ``cols``, x-hat, 1/sigma and its output, whose sign is the ReLU mask.
 Without a graph nothing is kept, and eval mode applies the running
 statistics as one per-channel scale gamma/sigma and shift beta - mu*scale.
-``conv2d``, ``batch_norm`` and ``tensor.relu`` are the composed form it is
-tested against.
+It is the model's only conv path; ``conv2d``, ``batch_norm`` and
+``tensor.relu`` are the composed form it is tested against.
 """
 
 from __future__ import annotations

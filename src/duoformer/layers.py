@@ -19,7 +19,8 @@ from collections import OrderedDict
 import numpy as np
 
 from . import tensor as T
-from .conv import batch_norm, conv2d, conv_bn_relu
+# conv2d and batch_norm stay bound: perfbench's tracer rebinds them here by name
+from .conv import batch_norm, conv2d, conv_bn_relu  # noqa: F401
 from .errors import ContractError
 from .rng import kaiming_uniform, trunc_normal
 from .tensor import Tensor
@@ -150,9 +151,6 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x):
-        return conv2d(x, self.w, stride=self.stride, padding=self.padding)
-
 
 class BatchNorm2d(Module):
     def __init__(self, c: int):
@@ -162,12 +160,9 @@ class BatchNorm2d(Module):
         self.register_state("running_mean", np.zeros(c))  # f64 state in every model dtype
         self.register_state("running_var", np.ones(c))
 
-    def forward(self, x):
-        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          mode="train" if self.training else "eval")
-
 
 def conv_bn_relu_unit(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
-    """relu(bn(conv(x))) on the two modules' tensors, as one `conv_bn_relu` node."""
+    """The only forward of a Conv2d and its BatchNorm2d: relu(bn(conv(x))) on
+    the two modules' tensors, as one `conv_bn_relu` node."""
     return conv_bn_relu(x, conv.w, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
                         conv.stride, conv.padding, mode="train" if bn.training else "eval")

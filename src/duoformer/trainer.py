@@ -99,23 +99,6 @@ def per_class_recall(predictions, labels, num_classes: int) -> "list[float | Non
     return out
 
 
-class EarlyStopper:
-    """Strict-improvement tracker: stop once `patience` epochs pass without
-    the validation score exceeding the best seen."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_epoch = -1
-        self.best_score = -float("inf")
-
-    def update(self, epoch: int, score: float) -> bool:
-        """Record an epoch; returns True when training should stop."""
-        if score > self.best_score:
-            self.best_score = score
-            self.best_epoch = epoch
-        return epoch - self.best_epoch >= self.patience
-
-
 # ---- records -----------------------------------------------------------------------
 
 
@@ -212,6 +195,9 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
     if len(train_idx) < 2:
         raise ContractError(f"training split has {len(train_idx)} samples; "
                             "train-mode BN needs at least 2")
+    for name, idx in (("validation", val_idx), ("test", test_idx)):
+        if not len(idx):
+            raise ContractError(f"{name} split has no samples")
 
     params = model.parameters()
     state = adam_init(params)
@@ -220,7 +206,7 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
     shuffle_stream = SeedStream(cfg.seed).child("shuffle")
 
     record = RunRecord()
-    stopper = EarlyStopper(cfg.patience)
+    best_score = -float("inf")
     best_state = None
     jsonl = None
     if out_dir is not None:
@@ -266,14 +252,13 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
                 log(f"epoch {epoch}: loss {rec.train_loss:.4f} "
                     f"val_bacc {val_bacc:.4f} lr {lr:.2e}")
 
-            prev_best = stopper.best_epoch
-            stop = stopper.update(epoch, val_bacc)
-            if stopper.best_epoch != prev_best:
+            if val_bacc > best_score:  # a tie is no improvement
+                best_score = val_bacc
                 record.best_epoch = epoch
                 best_state = {k: v.copy() for k, v in model.state_dict().items()}
                 if out_dir is not None:
                     save_checkpoint(os.path.join(out_dir, "best.dfc"), model, cfg)
-            if stop:
+            elif epoch - record.best_epoch >= cfg.patience:
                 break
     finally:
         if jsonl is not None:

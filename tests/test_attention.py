@@ -366,6 +366,8 @@ def test_encoder_rejects_bad_mode_and_depth():
         DuoEncoder(4, 2, 0, 4, 4, SeedStream(0).child("e"))
     with pytest.raises(ConfigError):
         DuoEncoder(4, 2, 1, 4, 4, SeedStream(0).child("e"), mode="patch_only")
+    with pytest.raises(ConfigError, match="unknown readout"):  # at build, not first forward
+        DuoEncoder(4, 2, 1, 4, 4, SeedStream(0).child("e"), readout="bogus")
 
 
 # ---- patch encoder (hybrid baseline) ---------------------------------------------

@@ -1,4 +1,4 @@
-"""`scripts/benchpairs.py`'s summary: wins, and the GAIN and WORSE marks."""
+"""`scripts/benchpairs.py`'s summary (wins, the GAIN and WORSE marks) and report header."""
 
 import os
 import sys
@@ -45,3 +45,15 @@ def test_gain_follows_the_better_direction_and_worse_the_bound():
     slower = summary["metrics"]["step_ms_mean"]  # +40% against a 25% bound
     assert (slower["wins"], slower["gain"], slower["worse"]) == (0, False, True)
     assert summary["pairs"] == 10 and summary["failed"] == [0, 0]
+
+
+def test_main_prints_both_sides_src_line_counts(monkeypatch, capsys):
+    monkeypatch.setattr(benchpairs, "export", lambda repo, rev, dest: None)
+    monkeypatch.setattr(benchpairs, "git", lambda *args: "")
+
+    def run_once(tree, workload, seed):
+        return dict(_run(100.0), env={"src_lines": 3624 if tree == benchpairs.REPO else 3637})
+
+    monkeypatch.setattr(benchpairs, "run_once", run_once)
+    assert benchpairs.main(["HEAD~1", "--workload", "infer-toy", "--pairs", "2"]) == 0
+    assert "src/ lines: 3637 (HEAD~1), 3624 (checkout)" in capsys.readouterr().out

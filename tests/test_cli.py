@@ -289,6 +289,13 @@ def test_train_empty_dataset_exits_2(tmp_path, toy_cfg, empty_dataset, capsys):
     assert "training split has 0 samples" in capsys.readouterr().err
 
 
+def test_ablate_empty_dataset_exits_2(tmp_path, empty_dataset, capsys):
+    assert cli.main(["ablate", "--suite", "attention", "--data", empty_dataset,
+                     "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "has no samples" in err and "Traceback" not in err
+
+
 def test_train_from_pyramid(tmp_path, toy_cfg, dataset):
     from duoformer.backbone import save_pyramid
     from duoformer.config import parse_config

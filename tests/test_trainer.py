@@ -10,9 +10,10 @@ from duoformer.data import make_synthetic, split_dataset
 from duoformer.errors import ConfigError, ContractError, NumericError
 from duoformer.model import DuoFormer, load_checkpoint
 from duoformer.tensor import Tensor
-from duoformer.trainer import (EarlyStopper, adam_init, adam_step, balanced_accuracy,
-                               evaluate, onecycle_lr, per_class_recall, predict, train)
+from duoformer.trainer import (adam_init, adam_step, balanced_accuracy, evaluate,
+                               onecycle_lr, per_class_recall, predict, train)
 from duoformer import tensor as T
+from duoformer import trainer
 from oracles import adam_scalar, balanced_accuracy_confusion
 
 
@@ -184,27 +185,6 @@ def test_per_class_recall_none_for_absent():
     assert per_class_recall(preds, labels, 3) == [0.5, 1.0, None]
 
 
-# ---- early stopping ------------------------------------------------------------
-
-
-def test_early_stopper_strict_improvement_sequence():
-    # plateau [0.5, 0.6, 0.6, 0.6] with patience 2: best stays at the first
-    # 0.6 and training stops two epochs later
-    stopper = EarlyStopper(patience=2)
-    assert stopper.update(0, 0.5) is False
-    assert stopper.update(1, 0.6) is False
-    assert stopper.update(2, 0.6) is False
-    assert stopper.update(3, 0.6) is True
-    assert stopper.best_epoch == 1 and stopper.best_score == 0.6
-
-
-def test_early_stopper_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    for epoch, score in enumerate([0.1, 0.2, 0.15, 0.3]):
-        assert stopper.update(epoch, score) is False
-    assert stopper.best_epoch == 3
-
-
 # ---- training loop -------------------------------------------------------------
 
 
@@ -269,6 +249,34 @@ def test_train_stops_early_on_plateau():
     rec = train(model, pyr, labels, cfg)
     assert len(rec.epochs) == 2
     assert rec.best_epoch == 0
+
+
+def _script_val_scores(monkeypatch, scores):
+    """train() reads these validation scores in order, then 0.0 (the test split too)."""
+    calls = iter(scores)
+    monkeypatch.setattr(trainer, "balanced_accuracy", lambda *args: next(calls, 0.0))
+
+
+def test_early_stopper_strict_improvement_sequence(monkeypatch):
+    # plateau [0.5, 0.6, 0.6, 0.6] with patience 2: best stays at the first
+    # 0.6 and training stops two epochs later, before max_epochs
+    _script_val_scores(monkeypatch, [0.5, 0.6, 0.6, 0.6])
+    images, labels = _toy_data(24)
+    cfg = TrainConfig(batch_size=8, max_epochs=8, patience=2, max_lr=1e-3, seed=0)
+    rec = train(_toy(), images, labels, cfg)
+    assert [e.val_balanced_acc for e in rec.epochs] == [0.5, 0.6, 0.6, 0.6]
+    assert rec.best_epoch == 1
+
+
+def test_early_stopper_resets_on_improvement(monkeypatch):
+    # the dip at epoch 2 does not stop the run, and patience 2 counts again
+    # from the new best at epoch 3: epochs 4 and 5 read 0.0, then it stops
+    _script_val_scores(monkeypatch, [0.1, 0.2, 0.15, 0.3])
+    images, labels = _toy_data(24)
+    cfg = TrainConfig(batch_size=8, max_epochs=8, patience=2, max_lr=1e-3, seed=0)
+    rec = train(_toy(), images, labels, cfg)
+    assert [e.val_balanced_acc for e in rec.epochs] == [0.1, 0.2, 0.15, 0.3, 0.0, 0.0]
+    assert rec.best_epoch == 3
 
 
 def test_train_restores_best_checkpoint(tmp_path):
@@ -417,6 +425,25 @@ def test_train_split_below_two_samples_raises():
     cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3, seed=0)
     with pytest.raises(ContractError, match="training split has 1 samples"):
         train(_toy(), images, labels, cfg, splits=(idx[:1], idx[1:], idx[1:]))
+
+
+@pytest.mark.parametrize("empty", ["validation", "test", "both"])
+def test_train_rejects_an_empty_split_before_any_step(monkeypatch, empty):
+    steps = []
+    monkeypatch.setattr(trainer, "adam_step", lambda *args, **kwargs: steps.append(1))
+    cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3, seed=0)
+    if empty == "both":  # 2 samples per class: both 1/6 fractions round to 0 samples
+        images, labels = _toy_data(8, classes=4)
+        model, splits, empty = _toy(num_classes=4), None, "validation"
+    else:
+        images, labels = _toy_data(24)
+        idx = np.arange(24)
+        model = _toy()
+        splits = ((idx[:16], idx[:0], idx[16:]) if empty == "validation"
+                  else (idx[:16], idx[16:], idx[:0]))
+    with pytest.raises(ContractError, match=f"^{empty} split has no samples"):
+        train(model, images, labels, cfg, splits=splits)
+    assert steps == []
 
 
 # ---- overfit across seeds ------------------------------------------------------------

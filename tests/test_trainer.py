@@ -427,21 +427,22 @@ def test_train_split_below_two_samples_raises():
         train(_toy(), images, labels, cfg, splits=(idx[:1], idx[1:], idx[1:]))
 
 
-@pytest.mark.parametrize("empty", ["validation", "test", "both"])
-def test_train_rejects_an_empty_split_before_any_step(monkeypatch, empty):
+@pytest.mark.parametrize("empty,named", [("validation", "validation"), ("test", "test"),
+                                         ("both", "validation")])
+def test_train_rejects_an_empty_split_before_any_step(monkeypatch, empty, named):
     steps = []
     monkeypatch.setattr(trainer, "adam_step", lambda *args, **kwargs: steps.append(1))
     cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, max_lr=1e-3, seed=0)
     if empty == "both":  # 2 samples per class: both 1/6 fractions round to 0 samples
         images, labels = _toy_data(8, classes=4)
-        model, splits, empty = _toy(num_classes=4), None, "validation"
+        model, splits = _toy(num_classes=4), None
     else:
         images, labels = _toy_data(24)
         idx = np.arange(24)
         model = _toy()
         splits = ((idx[:16], idx[:0], idx[16:]) if empty == "validation"
                   else (idx[:16], idx[16:], idx[:0]))
-    with pytest.raises(ContractError, match=f"^{empty} split has no samples"):
+    with pytest.raises(ContractError, match=f"^{named} split has no samples"):
         train(model, images, labels, cfg, splits=splits)
     assert steps == []
 

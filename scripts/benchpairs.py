@@ -12,13 +12,16 @@ and quartiles, the relative change of the median against the metric's
 bound, and in how many pairs the checkout was better (ties count for
 neither side). A metric is marked GAIN when the checkout was better in at
 least nine tenths of the pairs and its median moved in the better
-direction by more than the distance between REV's quartiles, and WORSE
-when its median got worse by more than the bound.
+direction by more than the distance between REV's quartiles, unless the
+checkout's runs failed more operations in sum than REV's; WORSE when its
+median got worse by more than the bound; and UNRESOLVED when REV's own
+spread, (q3 - q1) / |median|, exceeds the bound, unless every checkout run
+was better than every REV run or the two sides were equal in every pair.
 
 `--json PATH` also writes what it prints: both revisions, each side's
 environment as perfbench records it (BLAS, BLAS threads, CPU count, `src/`
 line count), and per workload and metric the pair count, each side's values,
-median and quartiles, the wins and both marks.
+median and quartiles, the wins and the three marks.
 
     python3 scripts/benchpairs.py HEAD~1 --workload train-paper --pairs 10
     python3 scripts/benchpairs.py HEAD~1 --json BENCH_13.json
@@ -86,11 +89,15 @@ def summarize(spec: list, pairs: list) -> dict:
         o, c = stats(old), stats(new)
         change = (c["median"] - o["median"]) / abs(o["median"]) if o["median"] else 0.0
         wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        spread = (o["q3"] - o["q1"]) / abs(o["median"]) if o["median"] else 0.0
+        separated = max(sign * v for v in new) < min(sign * v for v in old)  # all better
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": n,
             "rev": o, "checkout": c, "change": change, "wins": wins,
-            "gain": 10 * wins >= 9 * n and sign * (o["median"] - c["median"]) > o["q3"] - o["q1"],
-            "worse": sign * change > m["bound"]}
+            "gain": (10 * wins >= 9 * n and out["failed"][1] <= out["failed"][0]
+                     and sign * (o["median"] - c["median"]) > o["q3"] - o["q1"]),
+            "worse": sign * change > m["bound"],
+            "unresolved": spread > m["bound"] and not separated and old != new}
     return out
 
 
@@ -110,7 +117,8 @@ def report(workload: str, spec: list, summary: dict, rev: str) -> None:
         print(f"  {name:<14} {o['median']:>14.6g} [{o['q1']:.6g}, {o['q3']:.6g}]"
               f" {c['median']:>14.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
               f" {s['change']:>+8.2%} {s['bound']:>6g} {s['wins']:>3}/{n}"
-              f"{' GAIN' if s['gain'] else ''}{' WORSE' if s['worse'] else ''}")
+              f"{' GAIN' if s['gain'] else ''}{' WORSE' if s['worse'] else ''}"
+              f"{' UNRESOLVED' if s['unresolved'] else ''}")
     print(f"  loss_end equal in {summary['loss_end_equal']}/{n} pairs")
 
 

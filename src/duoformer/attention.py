@@ -7,8 +7,8 @@ output is written back into scale index 0, so the next layer's scale
 attention sees patch-level context through that single conduit.
 
 Both the scale block and the hybrid baseline's block are
-``_pre_norm_block``. ``_READOUTS`` maps each readout to the query rows of
-the last scale block and to whether the last layer has patch attention:
+``_pre_norm_block``. ``config.READOUTS`` gives each readout the query rows
+of the last scale block and whether the last layer has patch attention:
 readouts that consume the token tensor itself (first_token, avg_tokens,
 scale_attn_only_fc) need none, and none is created. Every readout but
 avg_tokens reads scale row 0 of the final layer only, so that layer's
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .config import READOUTS
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import LayerNorm, Linear, Module
 from .tensor import Tensor
@@ -107,12 +108,6 @@ class DuoLayer(Module):
         return scale_tokens + self.patch(scale_tokens)
 
 
-# readout -> (query rows of the last scale block, None for all of them;
-# whether the last layer's patch attention output is the readout)
-_READOUTS = {"scale_token_patch_attn": (1, True), "first_token": (1, False),
-             "scale_attn_only_fc": (1, False), "avg_tokens": (None, False)}
-
-
 class DuoEncoder(Module):
     """L stacked duo layers over [B, S(+1), N, D] -> readout [B, N, D].
 
@@ -133,10 +128,10 @@ class DuoEncoder(Module):
             raise ConfigError(f"encoder needs layers >= 1, got {layers}")
         if mode not in ("duo", "scale_only"):
             raise ConfigError(f"encoder mode must be duo or scale_only, got {mode!r}")
-        if readout not in _READOUTS:
-            raise ConfigError(f"unknown readout {readout!r}; valid: {', '.join(_READOUTS)}")
+        if readout not in READOUTS:
+            raise ConfigError(f"unknown readout {readout!r}; valid: {', '.join(READOUTS)}")
         self.layer_count = layers
-        self._last_queries, reads_patch = _READOUTS[readout]
+        *_, self._last_queries, reads_patch = READOUTS[readout]
         patch_layers = 0
         if mode == "duo":
             patch_layers = layers if reads_patch else layers - 1

@@ -32,7 +32,7 @@ import numpy as np
 from . import tensor as T
 from .ablate import SUITE_NAMES, SUITE_TRAIN, THREAD_VARS, format_table, run_suite
 from .backbone import FeaturePyramid, load_pyramid, save_pyramid
-from .config import parse_config, serialize_config
+from .config import parse_config
 from .data import gen_synthetic, load_dataset, split_dataset
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericError)
@@ -116,9 +116,6 @@ def cmd_train(args) -> int:
     model = DuoFormer(model_cfg)
     # precomputed features bypass the backbone, which then stays frozen
     inputs = images if args.pyramid is None else load_pyramid(args.pyramid)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "config.txt"), "w") as f:
-        f.write(serialize_config(model_cfg, train_cfg))
     rec = train(model, inputs, labels, train_cfg, out_dir=args.out, log=_log)
     print(f"best val balanced accuracy: {rec.best_val:.4f} (epoch {rec.best_epoch})")
     print(f"test balanced accuracy: {rec.test_balanced_acc:.4f}")

@@ -16,16 +16,17 @@ from .errors import ConfigError
 from .tensor import DTYPES
 from .tokenizer import patch_grid, tokens_per_patch
 
-# (attention_mode, readout, scale_token_mode) triples that make structural sense
-VALID_COMBOS = {
-    ("duo", "scale_token_patch_attn", "fused"),
-    ("duo", "scale_token_patch_attn", "learnable"),
-    ("duo", "first_token", "none"),
-    ("duo", "avg_tokens", "none"),
-    ("scale_only", "scale_attn_only_fc", "fused"),
-    ("scale_only", "scale_attn_only_fc", "learnable"),
-    ("patch_only", "avg_tokens", "none"),
+# readout -> (attention modes, scale-token modes, query rows of the last scale
+# block or None for all of them, whether the last patch attention is the readout)
+READOUTS = {
+    "scale_token_patch_attn": (("duo",), ("fused", "learnable"), 1, True),
+    "first_token": (("duo",), ("none",), 1, False),
+    "avg_tokens": (("duo", "patch_only"), ("none",), None, False),
+    "scale_attn_only_fc": (("scale_only",), ("fused", "learnable"), 1, False),
 }
+# (attention_mode, readout, scale_token_mode) triples that make structural sense
+VALID_COMBOS = {(mode, readout, token) for readout, (modes, tokens, _, _) in READOUTS.items()
+                for mode in modes for token in tokens}
 
 
 @dataclass

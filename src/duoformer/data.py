@@ -109,6 +109,8 @@ def load_dataset(data_dir) -> "tuple[np.ndarray, np.ndarray]":
     if labels.ndim != 1 or labels.dtype != np.int64 or labels.shape[0] != images.shape[0]:
         raise FormatError(f"labels.dft must be [n] i64 matching images, got "
                           f"{labels.shape} {labels.dtype.name}")
+    if (labels < 0).any():
+        raise FormatError(f"labels.dft holds a negative class id, {labels.min()}")
     return images, labels
 
 

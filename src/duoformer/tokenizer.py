@@ -86,10 +86,9 @@ def tokenize(projected: "list[tuple[int, Tensor]]", n_patches: int,
     for idx, pp, _count in layout:
         feat = by_stage[idx]
         b, p, p2, d = feat.shape
-        # [B,P,P,D] -> [B,g,p',g,p',D] -> [B,g,g,p',p',D] -> [B,N,p'^2,D] -> [B,p'^2,N,D]
-        x = feat.reshape((b, g, pp, g, pp, d)).transpose((0, 1, 3, 2, 4, 5))
-        x = x.reshape((b, g * g, pp * pp, d)).transpose((0, 2, 1, 3))
-        parts.append(x)
+        # [B,P,P,D] -> [B,g,p',g,p',D] -> [B,p',p',g,g,D] -> [B,p'^2,N,D]
+        x = feat.reshape((b, g, pp, g, pp, d)).transpose((0, 2, 4, 1, 3, 5))
+        parts.append(x.reshape((b, pp * pp, g * g, d)))
     tokens = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
     return MultiScaleTokens(tokens=tokens, scale_layout=layout, has_scale_token=False)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FeaturePyramid
-from .config import TrainConfig
+from .config import TrainConfig, serialize_config
 from .data import split_dataset
 from .errors import ContractError, NumericError
 from .model import DuoFormer, save_checkpoint
@@ -154,7 +154,7 @@ def predict(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid",
     try:
         with T.no_grad():
             for i in range(0, n, batch_size):
-                logits = model(_model_input(inputs[np.arange(i, min(i + batch_size, n))]))
+                logits = model(_model_input(inputs[i:i + batch_size]))
                 if not np.isfinite(logits.data).all():
                     raise NumericError(f"non-finite logits in the batch from sample {i}")
                 preds.append(np.argmax(logits.data, axis=1))
@@ -211,6 +211,8 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
     jsonl = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "config.txt"), "w") as f:
+            f.write(serialize_config(model.cfg, cfg))
         jsonl = open(os.path.join(out_dir, "run.jsonl"), "a")
 
     try:

@@ -1,4 +1,4 @@
-"""`scripts/benchpairs.py`'s summary (wins, the GAIN and WORSE marks) and report header."""
+"""`scripts/benchpairs.py`'s summary (wins, the GAIN, WORSE and UNRESOLVED marks) and report."""
 
 import os
 import sys
@@ -12,8 +12,8 @@ SPEC = [{"name": "step_ms_mean", "unit": "ms", "better": "lower", "bound": 0.25}
         {"name": "samples_per_s", "unit": "samples/s", "better": "higher", "bound": 0.25}]
 
 
-def _run(step_ms, samples_per_s=100.0):
-    return {"failed": 0, "metrics": {"step_ms_mean": {"value": step_ms},
+def _run(step_ms, samples_per_s=100.0, failed=0):
+    return {"failed": failed, "metrics": {"step_ms_mean": {"value": step_ms},
                                      "samples_per_s": {"value": samples_per_s}}}
 
 
@@ -45,6 +45,40 @@ def test_gain_follows_the_better_direction_and_worse_the_bound():
     slower = summary["metrics"]["step_ms_mean"]  # +40% against a 25% bound
     assert (slower["wins"], slower["gain"], slower["worse"]) == (0, False, True)
     assert summary["pairs"] == 10 and summary["failed"] == [0, 0]
+
+
+def test_gain_is_withheld_when_the_checkout_fails_more_operations():
+    pairs = [(_run(a, failed=1), _run(a - 10, failed=1 + (i == 3)))
+             for i, a in enumerate(PARENT)]
+    s = benchpairs.summarize(SPEC, pairs)
+    assert s["failed"] == [10, 11]
+    step = s["metrics"]["step_ms_mean"]
+    assert (step["wins"], step["gain"]) == (10, False)
+    fewer = benchpairs.summarize(SPEC, [(_run(a, failed=1), _run(a - 10)) for a in PARENT])
+    assert fewer["metrics"]["step_ms_mean"]["gain"]
+
+
+WIDE = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0, 150.0]  # IQR 45, 43% of 105
+
+
+@pytest.mark.parametrize("old,new,metric,unresolved", [
+    (WIDE, [x + 1 for x in WIDE], "step_ms_mean", True),       # wide parent, sides overlap
+    (WIDE, [x - 20 for x in WIDE], "step_ms_mean", True),      # 10/10 pairs better, still overlap
+    (WIDE, [x - 100 for x in WIDE], "step_ms_mean", False),    # every run below every parent run
+    (WIDE, [x + 100 for x in WIDE], "samples_per_s", False),   # ... above, where higher is better
+    (WIDE, [x + 100 for x in WIDE], "step_ms_mean", True),     # ... above, where lower is better
+    (WIDE, WIDE, "step_ms_mean", False),                       # equal in every pair
+    (PARENT, [x + 1 for x in PARENT], "step_ms_mean", False),  # parent spread 4.3% < 25%
+], ids=["overlap", "better-in-every-pair", "all-below", "all-above-higher-better",
+        "all-above-lower-better", "equal", "narrow-parent"])
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(old, new, metric, unresolved, capsys):
+    run = _run if metric == "step_ms_mean" else lambda v: _run(100.0, v)
+    pairs = [(run(a), run(b)) for a, b in zip(old, new)]
+    summary = benchpairs.summarize(SPEC, pairs)
+    assert summary["metrics"][metric]["unresolved"] is unresolved
+    benchpairs.report("train-toy", SPEC, summary, "HEAD~1")
+    line = [l for l in capsys.readouterr().out.splitlines() if l.strip().startswith(metric)][0]
+    assert line.endswith(" UNRESOLVED") is unresolved
 
 
 def test_main_prints_both_sides_src_line_counts(monkeypatch, capsys):

@@ -408,6 +408,16 @@ def _toy_checkpoint(tmp_path, edit):
     return str(path)
 
 
+def test_eval_negative_class_id_exits_3(tmp_path, dataset, capsys):
+    """A -1 label would count as an error in accuracy and drop out of balanced accuracy."""
+    labels = load_tensor(os.path.join(dataset, "labels.dft"))
+    labels[::5] = -1
+    save_tensor(os.path.join(dataset, "labels.dft"), labels)
+    ckpt = _toy_checkpoint(tmp_path, lambda e: None)
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", dataset]) == 3
+    assert "negative class id" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_missing_tensor_exits_3(tmp_path, dataset, capsys):
     ckpt = _toy_checkpoint(tmp_path, lambda e: e.pop("head.b"))
     assert cli.main(["eval", "--checkpoint", ckpt, "--data", dataset]) == 3

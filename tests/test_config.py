@@ -133,6 +133,15 @@ def test_every_valid_combo_validates():
                         seed=0).validate()
 
 
+def test_valid_combos_are_the_seven_readout_triples():
+    assert VALID_COMBOS == {
+        ("duo", "scale_token_patch_attn", "fused"), ("duo", "scale_token_patch_attn", "learnable"),
+        ("duo", "first_token", "none"), ("duo", "avg_tokens", "none"),
+        ("scale_only", "scale_attn_only_fc", "fused"),
+        ("scale_only", "scale_attn_only_fc", "learnable"),
+        ("patch_only", "avg_tokens", "none")}
+
+
 def test_default_config_is_canonical():
     cfg = DuoFormerConfig()
     assert (cfg.input_size, cfg.patch_count, cfg.embed_dim) == (224, 49, 768)

@@ -175,6 +175,15 @@ def test_load_rejects_length_mismatch(tmp_path):
         load_dataset(str(d))
 
 
+def test_load_rejects_a_negative_class_id(tmp_path):
+    d = tmp_path / "data"
+    os.makedirs(d)
+    save_tensor(d / "images.dft", np.zeros((4, 32, 32, 3), dtype=np.float32))
+    save_tensor(d / "labels.dft", np.array([0, 1, -1, 1], dtype=np.int64))
+    with pytest.raises(FormatError, match="negative class id, -1"):
+        load_dataset(str(d))
+
+
 # ---- splits ---------------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from duoformer.config import DuoFormerConfig, TrainConfig
+from duoformer.config import DuoFormerConfig, TrainConfig, parse_config
 from duoformer.data import make_synthetic, split_dataset
 from duoformer.errors import ConfigError, ContractError, NumericError
 from duoformer.model import DuoFormer, load_checkpoint
@@ -289,6 +289,15 @@ def test_train_restores_best_checkpoint(tmp_path):
     for name, arr in best.state_dict().items():
         npt.assert_array_equal(arr, model.state_dict()[name], err_msg=name)
     assert (out / "last.dfc").exists()
+
+
+def test_train_writes_the_config_it_ran_into_the_run_directory(tmp_path):
+    images, labels = _toy_data(18)
+    out = tmp_path / "run"
+    cfg = TrainConfig(batch_size=6, max_epochs=1, patience=1, max_lr=1e-3, seed=3)
+    model = _toy(seed=3)
+    train(model, images, labels, cfg, out_dir=str(out))
+    assert parse_config((out / "config.txt").read_text()) == (model.cfg, cfg)
 
 
 def test_train_writes_epoch_records(tmp_path):

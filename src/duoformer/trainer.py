@@ -39,26 +39,33 @@ def adam_step(params, grads, state: dict, lr: float, betas=(0.9, 0.999),
               eps: float = 1e-8) -> None:
     """One bias-corrected Adam update, in place; no weight decay.
 
-    The plain elementwise formula, applied chunk by chunk (``T.flat_chunks``)
-    so no temporary is parameter-sized. A parameter whose grad is None is
-    skipped, as PyTorch's Adam does.
+    Both corrections fold into the step size and epsilon (Kingma & Ba, sec. 2):
+    m and v match the plain formula bit for bit, p up to rounding. Each pass runs
+    chunk by chunk (``T.flat_chunks``) through one chunk of scratch, with scalars
+    in p's dtype. A parameter whose grad is None is skipped, as PyTorch's Adam does.
     """
     b1, b2 = betas
     state["step"] += 1
-    t = state["step"]
+    root = math.sqrt(1 - b2 ** state["step"])
+    scalars = (b1, 1 - b1, b2, 1 - b2, lr * root / (1 - b1 ** state["step"]), eps * root)
+    scratch = np.empty(T._CHUNK, np.float64)  # one chunk of any float dtype, viewed as p's
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             continue  # no gradient reached p (e.g. a frozen backbone): p, m, v stay as they are
         if g.shape != p.data.shape:
             raise ContractError(f"grad shape {g.shape} != param shape {p.data.shape}")
+        k1, c1, k2, c2, step, eps_t = (p.data.dtype.type(c) for c in scalars)
         for pc, m, v, gc in T.flat_chunks(p.data, state["m"][i], state["v"][i], g):
-            m *= b1
-            m += (1 - b1) * gc
-            v *= b2
-            v += (1 - b2) * gc * gc
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            pc -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(pc.dtype, copy=False)
+            s = (scratch.view(pc.dtype)[:pc.size].reshape(pc.shape) if pc.size <= T._CHUNK
+                 else np.empty_like(pc))  # flat_chunks hands a non-contiguous p over whole
+            m *= k1
+            m += np.multiply(c1, gc, out=s)
+            v *= k2
+            np.multiply(c2, gc, out=s)
+            v += np.multiply(s, gc, out=s)
+            np.sqrt(v, out=s)
+            s += eps_t
+            pc -= np.multiply(np.divide(m, s, out=s), step, out=s)
 
 
 # ---- schedule ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Slow, obviously-correct reference implementations used to pin the library.
 
 Everything here is written with explicit loops (or scipy-free scalar math) and
-deliberately shares no code with src/. Keep it dumb. The exception is the
-composed-graph references at the end: they take the tensor module as an
-argument and spell out, primitive op by primitive op, the graph that a fused
-op replaces, so the fused op can be held to it bit for bit.
+deliberately shares no code with src/. Keep it dumb. The exceptions are at
+the end. The composed-graph references take the tensor module as an argument
+and spell out, primitive op by primitive op, the graph that a fused op
+replaces, so the fused op can be held to it bit for bit. The plain formulas
+(LayerNorm, Adam) are the whole-array numpy forms that the in-place kernels
+replaced, which those kernels must match to a stated bound.
 """
 
 import math
@@ -190,3 +192,32 @@ def attention_composed(T, x, wqkv, bqkv, wproj, bproj, heads):
 def ffn_composed(T, x, w1, b1, w2, b2):
     """fc1 -> GELU -> fc2 as three primitive ops."""
     return T.matmul(T.gelu(T.matmul(x, w1, bias=b1)), w2, bias=b2)
+
+
+def layer_norm_plain(x, gamma, beta, g, eps=1e-6):
+    """LayerNorm over the last axis and its backward for the output gradient
+    g, as whole-array numpy: (out, dx, dgamma, dbeta)."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gamma + beta
+    dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    dbeta = g.reshape(-1, d).sum(axis=0)
+    dxh = g * gamma
+    dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
+                - xhat * (dxh * xhat).mean(axis=-1, keepdims=True))
+    return out, dx, dgamma, dbeta
+
+
+def plain_adam(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One bias-corrected Adam step on arrays, in place, in the paper's order."""
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    p -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype, copy=False)

@@ -1,10 +1,12 @@
 """The memory-lean training-path ops against their plain numpy formulas.
 
-Each rewritten op (matmul with a fused bias, gelu, softmax, index, Adam) must
+Each rewritten op (matmul with a fused bias, gelu, softmax, index) must
 give bit-identical values to the plain formula written out inline here: the
 same numpy operations in the same order. np.array_equal, not a tolerance.
-Only the contract tests of the flattened-GEMM kernel that compare against a
-different summation (f64, or the triple-loop oracle) use a stated bound.
+Adam's m and v are held to ``oracles.plain_adam`` bit for bit too; its
+parameter update folds the bias corrections, so p is held to a stated bound.
+So are the contract tests of the flattened-GEMM kernel that compare against
+a different summation (f64, or the triple-loop oracle).
 """
 
 import gc
@@ -22,7 +24,7 @@ from duoformer.errors import ContractError, DimensionError
 from duoformer.gradcheck import grad_check
 from duoformer.model import DuoFormer
 from duoformer.tensor import Tensor
-from oracles import matmul_loops
+from oracles import layer_norm_plain, matmul_loops, plain_adam
 
 DTYPES = (np.float32, np.float64)
 
@@ -224,6 +226,60 @@ def test_softmax_matches_plain_formula(dtype, axis):
     assert np.array_equal(x.grad, (g0 - (g0 * y).sum(axis=axis, keepdims=True)) * y)
 
 
+# ---- layer_norm -------------------------------------------------------------------------
+
+LN_CASES = [((1, 16), "rows"), ((5, 7, 16), "rows"), ((2, 3, 5, 16), "scale_block"),
+            ((3, 4, 768), "rows"), ((2, 3, 4, 768), "scale_block")]
+
+
+def _ln_inputs(shape, layout, rng, constant_rows=False):
+    """x (f64, in the model's layout), gamma, beta and an output gradient."""
+    d = shape[-1]
+    if layout == "scale_block":  # [B, N, S+1, D] viewed from a [B, S+1, N, D] buffer
+        b, n, s, _ = shape
+        x = (rng.standard_normal((b, s, n, d)) * 3 + 1).transpose((0, 2, 1, 3))
+    else:
+        x = rng.standard_normal(shape) * 3 + 1
+    if constant_rows:  # var = 0: only epsilon keeps 1/sigma finite
+        x[..., ::2, :] = 0.5
+    return x, rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(shape)
+
+
+def _ln_run(x, gamma, beta, g, dtype):
+    """(out, dx, dgamma, dbeta) of tensor.layer_norm in ``dtype``; x keeps its layout."""
+    xt, gt, bt = (Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta))
+    out = T.layer_norm(xt, gt, bt)
+    (out * Tensor(g.astype(dtype))).sum().backward()
+    return out.data, xt.grad, gt.grad, bt.grad
+
+
+def _close(got, want, rel):
+    """max |got - want| within ``rel`` of max |want| (so an all-zero want is matched exactly)."""
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("constant_rows", [False, True])
+@pytest.mark.parametrize("shape,layout", LN_CASES)
+def test_layer_norm_matches_plain_formula_in_f64(shape, layout, constant_rows):
+    args = _ln_inputs(shape, layout, np.random.default_rng(30), constant_rows)
+    for got, want in zip(_ln_run(*args, np.float64), layer_norm_plain(*args)):
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert _close(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("shape,layout", LN_CASES)
+def test_layer_norm_f32_agrees_with_f64(shape, layout):
+    args = _ln_inputs(shape, layout, np.random.default_rng(31))
+    for got, want in zip(_ln_run(*args, np.float32), _ln_run(*args, np.float64)):
+        assert got.dtype == np.float32 and _close(got, want, 2e-6)
+
+
+def test_layer_norm_gradcheck_f64():
+    x, gamma, beta, w = _ln_inputs((2, 3, 4, 16), "scale_block", np.random.default_rng(32))
+    params = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+    assert grad_check(lambda ps: (T.layer_norm(*ps) * Tensor(w)).sum(), params) < 1e-4
+
+
 # ---- index ----------------------------------------------------------------------------
 
 
@@ -312,14 +368,14 @@ def test_no_grad_restores_after_error():
 # ---- Adam ---------------------------------------------------------------------------------
 
 
-def _plain_adam(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    m *= b1
-    m += (1 - b1) * g
-    v *= b2
-    v += (1 - b2) * g * g
-    mhat = m / (1 - b1 ** t)
-    vhat = v / (1 - b2 ** t)
-    p -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype, copy=False)
+def _assert_adam_param_close(got, want, steps, lr_max):
+    """p from the folded update against the plain formula: a relative 1e-12
+    in f64; in f32, each step's rounding of p and of its update."""
+    if got.dtype == np.float64:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    else:
+        bound = steps * (np.spacing(np.abs(want)) + 4 * np.finfo(np.float32).eps * lr_max)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -337,11 +393,29 @@ def test_adam_matches_plain_formula_over_five_steps(dtype):
         lr = 1e-3 * step
         trainer.adam_step(params, grads, state, lr=lr)
         for i, g in enumerate(grads):
-            _plain_adam(ref[i], g, ref_m[i], ref_v[i], step, lr)
+            plain_adam(ref[i], g, ref_m[i], ref_v[i], step, lr)
     for i in range(len(shapes)):
-        assert np.array_equal(params[i].data, ref[i])
+        _assert_adam_param_close(params[i].data, ref[i], steps=5, lr_max=5e-3)
         assert np.array_equal(state["m"][i], ref_m[i])
         assert np.array_equal(state["v"][i], ref_v[i])
+
+
+def test_adam_scratch_is_one_chunk():
+    """The update's temporaries share one chunk-sized buffer; the plain
+    formula's m-hat, v-hat and quotient peaked at 4-5 chunks."""
+    n = 3 * T._CHUNK
+    rng = np.random.default_rng(6)
+    p = Tensor(rng.standard_normal(n), requires_grad=True)
+    state = trainer.adam_init([p])
+    g = rng.standard_normal(n)
+    trainer.adam_step([p], [g], state, lr=1e-3)
+    tracemalloc.start()
+    try:
+        trainer.adam_step([p], [g], state, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * T._CHUNK * p.data.itemsize
 
 
 def test_adam_updates_non_contiguous_param():
@@ -351,7 +425,7 @@ def test_adam_updates_non_contiguous_param():
     state = trainer.adam_init([p])
     g = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
     trainer.adam_step([p], [g], state, lr=0.1)
-    _plain_adam(ref, g, np.zeros_like(ref), np.zeros_like(ref), 1, 0.1)
+    plain_adam(ref, g, np.zeros_like(ref), np.zeros_like(ref), 1, 0.1)
     assert np.array_equal(p.data, ref)
 
 

@@ -80,7 +80,7 @@ def _conv_grads(dz: np.ndarray, cols: np.ndarray, x: Tensor, w: Tensor,
     if w.requires_grad:
         dw = dz.T @ cols
         w._accum(dw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2) if k_last
-                 else dw.reshape(w.shape), owned=True)
+                 else dw.reshape(w.shape))
     if x.requires_grad:
         hp, wp = h + 2 * padding, wid + 2 * padding
         ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
@@ -99,7 +99,7 @@ def _conv_grads(dz: np.ndarray, cols: np.ndarray, x: Tensor, w: Tensor,
                 q, span = dj // stride, min(stride, kw - dj)
                 rows[:, :, q:q + wo, :span] += dcols[:, :, :, di, dj:dj + span]
         dxp = dxp.reshape(bsz, hp, wq * stride, c)
-        x._accum(dxp[:, padding:padding + h, padding:padding + wid], owned=True)
+        x._accum(dxp[:, padding:padding + h, padding:padding + wid])
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -262,14 +262,14 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
 
     def bw(g):
         nonlocal xhat
-        dy = g.reshape(out.shape)  # the node's own gradient buffer, consumed here
+        dy = g.reshape(out.shape)  # this node owns g (tensor.py ownership rule); consumed here
         dy *= out > 0
         dbeta = np.ones(n, dy.dtype) @ dy.reshape(n, o)
         dgamma = col_dot(dy, xhat)
         if gamma.requires_grad:
-            gamma._accum(dgamma, owned=True)
+            gamma._accum(dgamma)
         if beta.requires_grad:
-            beta._accum(dbeta, owned=True)
+            beta._accum(dbeta)
         if x.requires_grad or w.requires_grad:
             if mode == "train":  # dy - (s1 + xhat * s2) / (n * gamma), in place
                 xhat *= tile(dgamma / n)

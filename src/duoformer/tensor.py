@@ -34,10 +34,13 @@ activation-sized scratch it can avoid:
 * ``layer_norm`` keeps x-hat and 1/sigma. Row sums are einsums (the same for a
   row whatever its neighbours), column sums GEMVs, the rest in place; backward
   overwrites x-hat. It is within 1e-12 of its plain form in f64 (``oracles.py``).
-* A tensor's first gradient is a copy of the incoming one, not zeros plus
-  an add; an op that computed a fresh gradient (``_accum(owned=True)``)
-  hands it over without the copy. A gradient whose dtype differs from the
-  tensor's is a ContractError.
+* Gradient ownership: a first gradient laid out like the tensor's data (same
+  shape and strides) becomes its ``grad`` as is; other layouts are copied into
+  the data's. Each backward hands each parent a fresh array or a view of its
+  own ``g``, which ``backward`` drops once the closure returns. So that a
+  tensor passed twice cannot change ``g`` under a later reader, ``add`` copies
+  ``g`` for its second operand when the first kept it, and ``matmul`` hands its
+  bias ``g`` last. A gradient in another dtype is a ContractError.
 
 The other rewrites give bit-identical results to their plain forms (for a
 2-D weight under a batched input, the flattened product), op by op: the same
@@ -140,20 +143,16 @@ class Tensor:
         """A copy in ``dtype``; its gradient reaches ``self`` cast back."""
         src = self.data.dtype
         return _from_op(self.data.astype(_resolve(dtype)), (self,),
-                        lambda g: self._accum(g.astype(src), owned=True))
+                        lambda g: self._accum(g.astype(src)))
 
     # ---- gradient machinery --------------------------------------------------
 
-    def _accum(self, g: np.ndarray, owned: bool = False):
-        """Add ``g`` into ``self.grad``.
-
-        ``owned`` hands ``g`` over: a fresh array nothing else holds, kept as
-        the first gradient when it is laid out like ``self.data``.
-        """
+    def _accum(self, g: np.ndarray):
+        """Add ``g`` into ``self.grad``; a first ``g`` laid out like the data is kept."""
         _check_grad_dtype(self, g)
         if self.grad is not None:
             self.grad += g
-        elif owned and g.shape == self.data.shape and g.strides == self.data.strides:
+        elif g.shape == self.data.shape and g.strides == self.data.strides:
             self.grad = g
         else:
             self.grad = np.empty_like(self.data)
@@ -334,7 +333,8 @@ def add(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a._accum(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            b._accum(gb.copy() if gb is a.grad else gb)
 
     return _from_op(out_data, (a, b), bw)
 
@@ -388,12 +388,12 @@ def matmul(a: Tensor, b: Tensor, bias: "Tensor | None" = None) -> Tensor:
         out_data += bias.data
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
         if a.requires_grad:
-            a._accum(_unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+            a._accum(_unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
             _accum_rhs_grad(b, a.data, g)
+        if bias is not None and bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
 
     return _from_op(out_data, (a, b, bias), bw)
 
@@ -402,7 +402,7 @@ def _accum_rhs_grad(b: Tensor, a: np.ndarray, g: np.ndarray):
     """Add the gradient of ``b`` in ``a @ b`` (output gradient ``g``) into ``b``.
     A 2-D b's, sum_i a[i].T @ g[i] over a's leading i, is one GEMM over rows."""
     if b.ndim == 2:
-        b._accum(_rows(a).T @ _rows(g), owned=True)
+        b._accum(_rows(a).T @ _rows(g))
     else:
         b._accum(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
@@ -609,7 +609,7 @@ def gelu(a: Tensor) -> Tensor:
     def bw(g):
         r = np.empty_like(x)
         _gelu_grad_into(x, t, g, r)
-        a._accum(r, owned=True)
+        a._accum(r)
 
     return _from_op(out_data, (a,), bw)
 
@@ -659,17 +659,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         g = _rows(g)
         ones = np.ones(len(g), g.dtype)
         if beta.requires_grad:
-            beta._accum(ones @ g, owned=True)
+            beta._accum(ones @ g)
         r = np.multiply(g, xh)
         if gamma.requires_grad:
-            gamma._accum(ones @ r, owned=True)
+            gamma._accum(ones @ r)
         if x.requires_grad:
             b = np.einsum("ij,j->i", r, gamma.data)[:, None] / d  # row means of dL/dx-hat * x-hat
             np.multiply(g, gamma.data, out=r)  # dL/dx-hat
             r -= np.einsum("ij->i", r)[:, None] / d
             r -= np.multiply(xh, b, out=xh)
             r *= inv[:, None]
-            x._accum(r.reshape(x.shape), owned=True)
+            x._accum(r.reshape(x.shape))
 
     return _from_op(out_data, (x, gamma, beta), bw)
 
@@ -800,7 +800,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor, bproj: Tenso
         del dq, dkt, dv
         dx = _linear_grad(x2, wqkv, bqkv, dqkv)
         if x.requires_grad:
-            x._accum(dx.reshape(x.shape), owned=True)
+            x._accum(dx.reshape(x.shape))
 
     out = _from_op(out_data.reshape(tuple(lead) + out_data.shape[-2:]),
                    (x, wqkv, bqkv, wproj, bproj), bw)
@@ -874,11 +874,11 @@ def _query_rows_attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wproj: Tensor,
         dw[:, :d] = _rows(xq).T @ _rows(dq)
         dx[..., :nq, :] += _mm(dq, wq.T)
         if bqkv.requires_grad:
-            bqkv._accum(db, owned=True)
+            bqkv._accum(db)
         if wqkv.requires_grad:
-            wqkv._accum(dw, owned=True)
+            wqkv._accum(dw)
         if x.requires_grad:
-            x._accum(dx, owned=True)
+            x._accum(dx)
 
     out = _from_op(out_data, (x, wqkv, bqkv, wproj, bproj), bw)
     return out, probs.reshape((bsz, heads, nq, t))
@@ -926,6 +926,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             _accum_rhs_grad(w2, h, g)
         dx = _linear_grad(x.data, w1, b1, da)
         if x.requires_grad:
-            x._accum(dx, owned=True)
+            x._accum(dx)
 
     return _from_op(out_data, params, bw)

@@ -9,8 +9,6 @@ set has no composed twin: in f64 it must match the full op's first rows
 to a relative 1e-12.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -431,7 +429,7 @@ def test_ffn_keeps_fc1_output_tanh_and_output():
     assert nbytes == 8 * (2 * rows * 4 * d + rows * d)
 
 
-def test_ffn_backward_peak_is_one_fc1_output_buffer_plus_chunk_scratch():
+def test_ffn_backward_peak_is_one_fc1_output_buffer_plus_chunk_scratch(traced_memory):
     """Backward consumes the saved fc1 output and tanh(u): beyond them, it
     allocates one fc1-output-sized buffer (the GELU gradient, then fc1's
     output gradient in place) plus chunk scratch and input- and
@@ -443,13 +441,9 @@ def test_ffn_backward_peak_is_one_fc1_output_buffer_plus_chunk_scratch():
     params = _params(rng, np.float32, d, hidden, d)
     loss = T.ffn(x, *params).sum()
     fc1_bytes = rows * hidden * 4
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         loss.backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * fc1_bytes
+    assert mem["peak"] < 1.5 * fc1_bytes
 
 
 GUARD = dict(input_size=64, patch_count=4, embed_dim=32, heads=4, layers=1,

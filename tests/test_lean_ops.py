@@ -10,7 +10,6 @@ a different summation (f64, or the triple-loop oracle).
 """
 
 import gc
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -323,24 +322,89 @@ def test_accum_rejects_mismatched_grad_dtype():
         x._accum(np.ones(3))
 
 
-def test_first_grad_is_a_copy():
-    x = Tensor(np.zeros(3), requires_grad=True)
-    g = np.ones(3)
-    x._accum(g)
-    x._accum(g)
-    npt.assert_array_equal(g, np.ones(3))
-    npt.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
-
-
-def test_owned_grad_is_kept_only_when_laid_out_like_data():
+def test_first_grad_is_kept_when_laid_out_like_data():
     x = Tensor(np.zeros((2, 3)), requires_grad=True)
     g = np.ones((2, 3))
-    x._accum(g, owned=True)
+    x._accum(g)
     assert x.grad is g
+    x._accum(np.full((2, 3), 2.0))  # a second gradient adds in place
+    assert x.grad is g
+    npt.assert_array_equal(g, np.full((2, 3), 3.0))
+
+
+def test_first_grad_in_another_layout_is_copied():
     y = Tensor(np.zeros((3, 2)).T, requires_grad=True)  # F-ordered view
-    y._accum(g.copy(), owned=True)
-    assert y.grad.strides == np.zeros_like(y.data).strides
+    g = np.ones((2, 3))
+    y._accum(g)
+    assert not np.shares_memory(y.grad, g)
+    assert y.grad.strides == y.data.strides
     npt.assert_array_equal(y.grad, g)
+    grad = y.grad
+    y._accum(g)
+    assert y.grad is grad
+    npt.assert_array_equal(g, np.ones((2, 3)))
+    npt.assert_array_equal(y.grad, np.full((2, 3), 2.0))
+
+
+def test_view_of_a_leaf_hands_its_gradient_over(traced_memory):
+    """The reshape passes mean's gradient buffer to the leaf: one buffer.
+    Copying it at the view, as every view did, peaks at two."""
+    x = Tensor(np.random.default_rng(20).standard_normal((512, 512)), requires_grad=True)
+    loss = T.mean(T.reshape(x, (256, 1024)))
+    with traced_memory() as mem:
+        loss.backward()
+    assert mem["peak"] < 1.5 * x.data.nbytes
+    npt.assert_array_equal(x.grad, np.full(x.shape, 1.0 / x.size))
+
+
+def _weighted_sum(y: Tensor, w: np.ndarray) -> Tensor:
+    return T.mul(y, Tensor(w)).sum()
+
+
+def test_add_gives_each_operand_its_own_gradient():
+    rng = np.random.default_rng(21)
+    a, b = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(2))
+    w = rng.standard_normal((3, 4))
+    _weighted_sum(a + b, w).backward()
+    npt.assert_array_equal(a.grad, w)
+    npt.assert_array_equal(b.grad, w)
+    assert not np.shares_memory(a.grad, b.grad)
+    v = rng.standard_normal((3, 4))
+    _weighted_sum(a, v).backward()  # a second graph adds into a.grad only
+    npt.assert_array_equal(a.grad, w + v)
+    npt.assert_array_equal(b.grad, w)
+
+
+def test_add_of_a_tensor_to_itself_doubles_its_gradient():
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    w = np.random.default_rng(22).standard_normal((3, 4))
+    _weighted_sum(x + x, w).backward()
+    npt.assert_array_equal(x.grad, 2 * w)
+
+
+@pytest.mark.parametrize("broadcast_first", [False, True])
+def test_add_gives_a_broadcast_operand_its_summed_gradient(broadcast_first):
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = Tensor(rng.standard_normal(4), requires_grad=True)
+    w = rng.standard_normal((3, 4))
+    _weighted_sum(c + a if broadcast_first else a + c, w).backward()
+    npt.assert_array_equal(a.grad, w)
+    npt.assert_array_equal(c.grad, w.sum(axis=0))
+
+
+def test_matmul_bias_that_is_also_an_operand():
+    """x @ w + x with the bias fused: the bias gradient, which may keep g,
+    is added after both operands' products have read g."""
+    rng = np.random.default_rng(24)
+    x, w = (rng.standard_normal((3, 3)) for _ in range(2))
+    v = rng.standard_normal((3, 3))
+    fx, fw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    _weighted_sum(T.matmul(fx, fw, bias=fx), v).backward()
+    cx, cw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    _weighted_sum(T.matmul(cx, cw) + cx, v).backward()
+    npt.assert_array_equal(fx.grad, cx.grad)
+    npt.assert_array_equal(fw.grad, cw.grad)
 
 
 # ---- no_grad ------------------------------------------------------------------------------
@@ -400,7 +464,7 @@ def test_adam_matches_plain_formula_over_five_steps(dtype):
         assert np.array_equal(state["v"][i], ref_v[i])
 
 
-def test_adam_scratch_is_one_chunk():
+def test_adam_scratch_is_one_chunk(traced_memory):
     """The update's temporaries share one chunk-sized buffer; the plain
     formula's m-hat, v-hat and quotient peaked at 4-5 chunks."""
     n = 3 * T._CHUNK
@@ -409,13 +473,9 @@ def test_adam_scratch_is_one_chunk():
     state = trainer.adam_init([p])
     g = rng.standard_normal(n)
     trainer.adam_step([p], [g], state, lr=1e-3)
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         trainer.adam_step([p], [g], state, lr=1e-3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * T._CHUNK * p.data.itemsize
+    assert mem["peak"] < 1.5 * T._CHUNK * p.data.itemsize
 
 
 def test_adam_updates_non_contiguous_param():
@@ -458,7 +518,7 @@ def test_predict_records_no_graph():
     assert T.gelu(Tensor(np.ones(2), requires_grad=True)).requires_grad
 
 
-def test_backward_leaves_only_leaf_gradients():
+def test_backward_leaves_only_leaf_gradients(traced_memory):
     """With the loss still referenced, nothing of the graph outlives the
     walk: a two-layer duo model's graph kept 38 times the gradients' bytes
     when backward released it only on return."""
@@ -470,16 +530,12 @@ def test_backward_leaves_only_leaf_gradients():
     T.cross_entropy(model(x), labels).backward()  # warm-up: first-call allocations
     model.zero_grad()
     gc.collect()
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         loss = T.cross_entropy(model(x), labels)
         loss.backward()
         gc.collect()
-        current, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     grads = sum(p.grad.nbytes for p in model.parameters() if p.grad is not None)
-    assert current < grads + 64 * 1024
+    assert mem["current"] < grads + 64 * 1024
     assert loss._parents is None
 
 

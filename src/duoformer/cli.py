@@ -91,7 +91,8 @@ def cmd_tokenize(args) -> int:
         x = Tensor(arr[None] if arr.ndim == 3 else arr)
     else:
         x = load_pyramid(args.pyramid)
-    mst = model.tokens(model.pyramid_from(x))
+    with no_grad():  # tokens only: nothing is differentiated
+        mst = model.tokens(model.pyramid_from(x))
     tokens = mst.tokens.data
     if tokens.shape[0] == 1:
         tokens = tokens[0]  # single image -> [S, N, D]

@@ -1,16 +1,16 @@
 """Spatial ops for the CNN backbone: conv2d, max_pool2d, batch_norm and the
 fused conv_bn_relu.
 
-Layout is channel-last [B, H, W, C] throughout; weights are [O, C, kh, kw].
-A conv is one GEMM, ``cols @ wmat.T``, whose n = B*Ho*Wo rows are its output.
-``_lower`` copies each window of the (padded) input into ``cols``. Its K
-axis is (kh, kw, C) when n >= O, so the copy moves runs of kw*C contiguous
-values and the weight is transposed per call (O*K values); otherwise it is
-(C, kh, kw), which needs no weight copy. ``_conv_grads`` takes the rows'
-gradient back: the weight gradient is one GEMM against ``cols``, the input
-gradient a strided scatter of the k*k taps (kernels here are at most 3x3),
-``stride`` adjacent taps per add. max_pool2d pools non-overlapping k x k
-windows, the only pooling the pyramid uses.
+Layout is channel-last [B, H, W, C] throughout. Weights are [O, C, kh, kw]
+with their memory in (kh, kw, C) order (``channel_last``, which ``Conv2d``
+applies). A conv is one GEMM, ``cols @ wmat.T``, whose n = B*Ho*Wo rows are
+its output. ``_lower`` copies each window of the (padded) input into
+``cols`` with K in the same (kh, kw, C) order, as runs of kw*C contiguous
+values, so ``_wmat`` is a view of the weight. ``_conv_grads`` takes the rows'
+gradient back: the weight gradient is one GEMM against ``cols``, in the
+weight's layout, the input gradient a strided scatter of the k*k taps
+(kernels here are at most 3x3), ``stride`` adjacent taps per add. max_pool2d
+pools non-overlapping k x k windows, the only pooling the pyramid uses.
 
 ``conv_bn_relu`` is relu(batch_norm(conv2d(x))) as one graph node on the
 GEMM output. BN's sums are BLAS reductions (``ones @ z``, ``einsum``);
@@ -33,9 +33,10 @@ from .errors import ContractError, DimensionError, NumericError
 from .tensor import Tensor, _from_op, _records
 
 
-def _channels_last_k(n: int, o: int) -> bool:
-    """The lowering rule: K is (kh, kw, C) when the GEMM has n >= O rows."""
-    return n >= o
+def channel_last(w: np.ndarray, dtype) -> np.ndarray:
+    """``w`` [O, C, kh, kw] in ``dtype`` with its memory in (kh, kw, C) order, cast
+    and laid out in one pass; a view of ``w`` if it already is both."""
+    return w.transpose(0, 2, 3, 1).astype(dtype, order="C", copy=False).transpose(0, 3, 1, 2)
 
 
 def _lower(x: Tensor, w: Tensor, stride: int, padding: int):
@@ -58,37 +59,26 @@ def _lower(x: Tensor, w: Tensor, stride: int, padding: int):
     else:
         xp = x.data
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    n = bsz * ho * wo
-    if _channels_last_k(n, o):
-        win = win.transpose(0, 1, 2, 4, 5, 3)  # [B,Ho,Wo,kh,kw,C]
-    return win.reshape(n, c * kh * kw), (bsz, ho, wo, o)
+    win = win.transpose(0, 1, 2, 4, 5, 3)  # [B,Ho,Wo,kh,kw,C]
+    return win.reshape(bsz * ho * wo, kh * kw * c), (bsz, ho, wo, o)
 
 
-def _wmat(w: np.ndarray, n: int) -> np.ndarray:
-    """The [O, K] weight in the K order `_lower` gives n GEMM rows."""
-    o = w.shape[0]
-    return (w.transpose(0, 2, 3, 1) if _channels_last_k(n, o) else w).reshape(o, -1)
+def _wmat(w: np.ndarray) -> np.ndarray:
+    """The [O, K] weight in `_lower`'s (kh, kw, C) K order; a view of a channel-last w."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
 def _conv_grads(dz: np.ndarray, cols: np.ndarray, x: Tensor, w: Tensor,
                 stride: int, padding: int) -> None:
     """Accumulate x's and w's gradients from dz, the gradient of `cols @ wmat.T`."""
-    n, o = dz.shape
     bsz, h, wid, c = x.shape
-    _, _, kh, kw = w.shape
-    k_last = _channels_last_k(n, o)
+    o, _, kh, kw = w.shape
     if w.requires_grad:
-        dw = dz.T @ cols
-        w._accum(dw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2) if k_last
-                 else dw.reshape(w.shape))
+        w._accum((dz.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
     if x.requires_grad:
         hp, wp = h + 2 * padding, wid + 2 * padding
         ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-        dcols = dz @ _wmat(w.data, n)
-        if k_last:
-            dcols = dcols.reshape(bsz, ho, wo, kh, kw, c)
-        else:
-            dcols = dcols.reshape(bsz, ho, wo, c, kh, kw).transpose(0, 1, 2, 4, 5, 3)
+        dcols = (dz @ _wmat(w.data)).reshape(bsz, ho, wo, kh, kw, c)
         # padded column y = stride * q + t, so the `stride` taps that start at
         # dj land on one contiguous run of stride * C values per output column
         wq = -(-wp // stride)
@@ -110,7 +100,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     def bw(g):
         _conv_grads(g.reshape(cols.shape[0], -1), cols, x, w, stride, padding)
 
-    return _from_op((cols @ _wmat(w.data, cols.shape[0]).T).reshape(shape), (x, w), bw)
+    return _from_op((cols @ _wmat(w.data).T).reshape(shape), (x, w), bw)
 
 
 def max_pool2d(x: Tensor, k: int) -> Tensor:
@@ -234,7 +224,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     def col_dot(a, b):  # per-channel sum of a*b over all rows
         return np.einsum("ij,ij->j", a, b).reshape(k, o).sum(axis=0)
 
-    z = (cols @ _wmat(w.data, n).T).reshape(n // k, k * o)
+    z = (cols @ _wmat(w.data).T).reshape(n // k, k * o)
     if mode == "train":
         mu = (np.ones(n, z.dtype) @ z.reshape(n, o)) / n
         z -= tile(mu)

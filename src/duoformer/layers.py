@@ -9,7 +9,7 @@ of `layer0` of `encoder`.
 Layers build their parameters in f64, the precision of the initializers'
 draws. `DuoFormer` casts each component to its configured dtype with
 `to_dtype` as soon as it is built, so f32 parameters are the f64 ones
-rounded.
+rounded; a `Conv2d` lays its weight out channel-last in the same pass.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 # conv2d and batch_norm stay bound: perfbench's tracer rebinds them here by name
-from .conv import batch_norm, conv2d, conv_bn_relu  # noqa: F401
+from .conv import batch_norm, channel_last, conv2d, conv_bn_relu  # noqa: F401
 from .errors import ContractError
 from .rng import kaiming_uniform, trunc_normal
 from .tensor import Tensor
@@ -85,9 +85,11 @@ class Module:
             p.zero_grad()
 
     def to_dtype(self, dtype):
-        for p in self.parameters():
+        for p in self._params.values():
             p.data = p.data.astype(dtype, copy=False)
             p.grad = None
+        for child in self._children.values():
+            child.to_dtype(dtype)
         return self
 
     # ---- (de)serialization boundary ----------------------------------------------
@@ -113,7 +115,8 @@ class Module:
             arr = d[name]
             if tuple(arr.shape) != p.shape:
                 raise ContractError(f"{name}: shape {arr.shape} != expected {p.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+            p.data = np.empty_like(p.data)  # keeps the module's layout
+            p.data[...] = arr
             p.grad = None
         for name, buf in own_state.items():
             arr = d[name]
@@ -150,6 +153,10 @@ class Conv2d(Module):
                         requires_grad=True)
         self.stride = stride
         self.padding = padding
+
+    def to_dtype(self, dtype):
+        self.w.data = channel_last(self.w.data, dtype)
+        return super().to_dtype(dtype)
 
 
 class BatchNorm2d(Module):

@@ -35,12 +35,12 @@ activation-sized scratch it can avoid:
   row whatever its neighbours), column sums GEMVs, the rest in place; backward
   overwrites x-hat. It is within 1e-12 of its plain form in f64 (``oracles.py``).
 * Gradient ownership: a first gradient laid out like the tensor's data (same
-  shape and strides) becomes its ``grad`` as is; other layouts are copied into
-  the data's. Each backward hands each parent a fresh array or a view of its
-  own ``g``, which ``backward`` drops once the closure returns. So that a
-  tensor passed twice cannot change ``g`` under a later reader, ``add`` copies
-  ``g`` for its second operand when the first kept it, and ``matmul`` hands its
-  bias ``g`` last. A gradient in another dtype is a ContractError.
+  shape, same strides on axes longer than 1) becomes its ``grad``; others are
+  copied into the data's layout. Each backward hands each parent a fresh array
+  or a view of its own ``g``, which ``backward`` drops once the closure returns.
+  So that a tensor passed twice cannot change ``g`` under a later reader, ``add``
+  copies ``g`` for its second operand when the first kept it, and ``matmul``
+  hands its bias ``g`` last. A gradient in another dtype is a ContractError.
 
 The other rewrites give bit-identical results to their plain forms (for a
 2-D weight under a batched input, the flattened product), op by op: the same
@@ -152,7 +152,8 @@ class Tensor:
         _check_grad_dtype(self, g)
         if self.grad is not None:
             self.grad += g
-        elif g.shape == self.data.shape and g.strides == self.data.strides:
+        elif g.shape == self.data.shape and all(  # a size-1 axis's stride steps nowhere
+                s == t for s, t, n in zip(g.strides, self.data.strides, g.shape) if n > 1):
             self.grad = g
         else:
             self.grad = np.empty_like(self.data)
@@ -292,13 +293,14 @@ _CHUNK = 1 << 16  # elements per chunk of a chunked elementwise pass
 
 
 def flat_chunks(*arrays):
-    """Matching views of same-shape arrays, ``_CHUNK`` flat elements at a time,
-    so an elementwise pass keeps its temporaries chunk-sized. Arrays that are
-    not all C-contiguous come back whole, as one chunk."""
-    if not all(a.flags.c_contiguous for a in arrays):
+    """Matching views of same-shape arrays, ``_CHUNK`` elements at a time in memory
+    order, so an elementwise pass keeps its temporaries chunk-sized. Arrays that are
+    not all dense and laid out alike come back whole, as one chunk."""
+    order = sorted(range(arrays[0].ndim), key=lambda i: -arrays[0].strides[i])
+    if not all(a.transpose(order).flags.c_contiguous for a in arrays):
         yield arrays
         return
-    flat = [a.reshape(-1) for a in arrays]
+    flat = [a.transpose(order).reshape(-1) for a in arrays]  # views: each is dense in order
     for lo in range(0, flat[0].size, _CHUNK):
         yield tuple(f[lo:lo + _CHUNK] for f in flat)
 

@@ -304,8 +304,11 @@ def test_criterion_08_ablation_trend(tmp_path):
     scale_only = rows["scale_only"]["test_mean"]
     patch_only = rows["patch_only"]["test_mean"]
     trend = duo >= scale_only and duo >= patch_only
-    detail = (f"duo {duo:.3f} vs scale_only {scale_only:.3f} / "
-              f"patch_only {patch_only:.3f} in {dt / 60:.0f} min")
+    per_seed = {cid: " / ".join(f"{r['test_balanced_acc']:.3f}" for r in row["per_seed"])
+                for cid, row in rows.items()}
+    detail = (f"duo {duo:.3f} ({per_seed['duo']}) vs scale_only {scale_only:.3f} "
+              f"({per_seed['scale_only']}) / patch_only {patch_only:.3f} "
+              f"({per_seed['patch_only']}) in {dt / 60:.0f} min")
     # The gate is mechanical: grid complete, shared seeds, report written,
     # within budget. The ordering itself is reported either way.
     if trend:

@@ -20,6 +20,21 @@ def _images(b, h, rng_seed=0, dtype=np.float32):
     return Tensor(np.random.default_rng(rng_seed).random((b, h, h, 3)).astype(dtype))
 
 
+# ---- cast -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cast_lays_conv_weights_out_in_the_same_pass(traced_memory, dtype):
+    """Casting allocates each parameter once, in its dtype: no f64 copy of a
+    conv weight on the way to its channel-last layout."""
+    bb = ToyBackbone((16, 32, 64, 128), SeedStream(0).child("bb"))
+    biggest_f64 = max(p.data.nbytes for p in bb.parameters())
+    cast_bytes = sum(p.size for p in bb.parameters()) * np.dtype(dtype).itemsize
+    with traced_memory() as mem:
+        bb.to_dtype(dtype)
+    assert mem["peak"] < cast_bytes + biggest_f64 / 2
+
+
 # ---- geometry ---------------------------------------------------------------
 
 

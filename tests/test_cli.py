@@ -352,6 +352,14 @@ def test_export_pyramid_records_no_graph(tmp_path, toy_cfg, dataset, monkeypatch
     assert len(feats) == 3 * 3  # three batches of 16, three stages each
     assert not any(f.requires_grad or f._parents for f in feats)
 
+    feats.clear()
+    img = tmp_path / "img.dft"
+    save_tensor(img, np.random.default_rng(0).random((32, 32, 3)).astype(np.float32))
+    assert cli.main(["tokenize", "--config", toy_cfg, "--image", str(img),
+                     "--out", str(tmp_path / "tokens.dft")]) == 0
+    assert len(feats) == 3
+    assert not any(f.requires_grad or f._parents for f in feats)
+
 
 def _export(cfg, data, tmp_path, *extra):
     return cli.main(["export-pyramid", "--config", cfg, "--data", data,

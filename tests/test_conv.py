@@ -7,9 +7,11 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from duoformer import tensor as T
-from duoformer.conv import batch_norm, conv2d, conv_bn_relu, max_pool2d
+from duoformer.conv import _wmat, batch_norm, channel_last, conv2d, conv_bn_relu, max_pool2d
 from duoformer.errors import ContractError, DimensionError, NumericError
 from duoformer.gradcheck import grad_check
+from duoformer.layers import BatchNorm2d, Conv2d, conv_bn_relu_unit
+from duoformer.rng import SeedStream
 from duoformer.tensor import Tensor
 
 
@@ -52,26 +54,30 @@ def test_conv_matches_six_loop_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
-    for stride, padding in [(1, 0), (2, 1), (1, 1), (2, 0)]:
-        out = conv2d(Tensor(nhwc(x)), Tensor(w), stride=stride, padding=padding)
-        ref = nhwc(oracles.conv2d_loops(x, w, np.zeros(3), stride=stride, padding=padding))
-        npt.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
+    for wdata in (w, channel_last(w, np.float64)):  # C order, or as Conv2d keeps it
+        for stride, padding in [(1, 0), (2, 1), (1, 1), (2, 0)]:
+            out = conv2d(Tensor(nhwc(x)), Tensor(wdata), stride=stride, padding=padding)
+            ref = nhwc(oracles.conv2d_loops(x, w, np.zeros(3), stride=stride, padding=padding))
+            npt.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("o", [3, 8, 40], ids=["K-hwc", "K-hwc-edge", "K-chw"])
-def test_conv_matches_six_loop_oracle_in_both_k_orders(o):
-    # 8 GEMM rows at stride 2: up to 8 output channels take K = (kh, kw, C), 40 take (C, kh, kw)
+@pytest.mark.parametrize("o", [3, 8, 40], ids=["rows-gt-O", "rows-eq-O", "rows-lt-O"])
+def test_conv_matches_six_loop_oracle_at_any_row_count(o):
+    # 8 GEMM rows at stride 2 against 3, 8 or 40 output channels: one K order serves
+    # all three, with the weight in C order or channel-last as Conv2d keeps it
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((o, 2, 3, 3))
-    xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
-    out = conv2d(xt, wt, stride=2)
-    npt.assert_allclose(out.data, nhwc(oracles.conv2d_loops(x, w, stride=2)), atol=1e-12, rtol=0)
-    out.sum().backward()
-    fn_x = lambda t: conv2d(t, Tensor(w), stride=2).sum()
-    fn_w = lambda t: conv2d(Tensor(nhwc(x)), t, stride=2).sum()
-    npt.assert_allclose(xt.grad, fd(fn_x, nhwc(x)), atol=1e-6)
-    npt.assert_allclose(wt.grad, fd(fn_w, w), atol=1e-6)
+    for wdata in (w, channel_last(w, np.float64)):
+        xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(wdata, requires_grad=True)
+        out = conv2d(xt, wt, stride=2)
+        npt.assert_allclose(out.data, nhwc(oracles.conv2d_loops(x, w, stride=2)),
+                            atol=1e-12, rtol=0)
+        out.sum().backward()
+        fn_x = lambda t: conv2d(t, Tensor(w), stride=2).sum()
+        fn_w = lambda t: conv2d(Tensor(nhwc(x)), t, stride=2).sum()
+        npt.assert_allclose(xt.grad, fd(fn_x, nhwc(x)), atol=1e-6)
+        npt.assert_allclose(wt.grad, fd(fn_w, w), atol=1e-6)
 
 
 def test_conv_output_extent_formula():
@@ -273,7 +279,8 @@ def test_bn_eval_grad_matches_finite_diff():
 # ---- conv_bn_relu -----------------------------------------------------------
 
 # (kernel, stride, padding); a [3, 8, 8, 5] input gives 192 or 48 GEMM rows,
-# so 7 output channels take K = (kh, kw, C) and 500 take (C, kh, kw).
+# so 7 output channels give n > O and 500 give n < O; the ids K-hwc and K-chw
+# stand for those two cases.
 UNITS = [(3, 1, 1), (3, 2, 1), (1, 1, 0)]
 WIDTHS = [7, 500]
 
@@ -356,3 +363,50 @@ def test_conv_bn_relu_bad_mode():
     x, w, gamma, beta, rm, rv = _unit(4, 3, shape=(2, 4, 4, 2))
     with pytest.raises(ContractError):
         conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), rm, rv, 1, 1, "test")
+
+
+# ---- weight layout ------------------------------------------------------------------
+
+
+def _conv_unit(o, k, dtype):
+    rng = SeedStream(17).child("unit").generator()
+    return (Conv2d(5, o, k, rng, stride=2, padding=k // 2).to_dtype(dtype),
+            BatchNorm2d(o).to_dtype(dtype))
+
+
+@pytest.mark.parametrize("k", [3, 1], ids=["3x3", "1x1"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cast_conv_weight_is_channel_last(dtype, k):
+    """The cast lays the weight out in the lowering's K order, so its [O, K]
+    matrix is a view; the values are the f64 draws cast, in the same shape."""
+    draws = Conv2d(5, 7, k, SeedStream(17).child("unit").generator()).w.data
+    w = _conv_unit(7, k, dtype)[0].w.data
+    assert w.shape == draws.shape and w.dtype == dtype
+    assert np.array_equal(w, draws.astype(dtype))
+    assert np.shares_memory(_wmat(w), w)
+
+
+@pytest.mark.parametrize("o", [4, 400], ids=["rows-gt-O", "rows-lt-O"])  # 48 GEMM rows
+@pytest.mark.parametrize("k", [3, 1], ids=["3x3", "1x1"])
+@pytest.mark.parametrize("fused", [True, False], ids=["conv_bn_relu", "conv2d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_weight_gradient_is_kept_without_a_copy(monkeypatch, dtype, fused, k, o):
+    """The weight gradient GEMM lands in the weight's own layout, so `_accum`
+    keeps it as given: no weight-sized copy per backward. (An f64 1x1 weight
+    keeps its C-order strides, which differ from the gradient's on size-1 axes.)"""
+    conv, bn = _conv_unit(o, k, dtype)
+    kept = []
+    real = Tensor._accum
+
+    def accum(t, g):
+        first = t.grad is None
+        real(t, g)
+        if t is conv.w and first:
+            kept.append(t.grad is g)
+
+    monkeypatch.setattr(Tensor, "_accum", accum)
+    x = Tensor(np.random.default_rng(18).standard_normal((3, 8, 8, 5)).astype(dtype))
+    out = (conv_bn_relu_unit(conv, bn, x) if fused
+           else conv2d(x, conv.w, stride=conv.stride, padding=conv.padding))
+    (out * out).sum().backward()
+    assert kept == [True]

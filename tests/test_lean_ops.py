@@ -18,6 +18,7 @@ import pytest
 from duoformer import tensor as T
 from duoformer import trainer
 from duoformer.config import DuoFormerConfig, TrainConfig
+from duoformer.conv import channel_last
 from duoformer.data import make_synthetic
 from duoformer.errors import ContractError, DimensionError
 from duoformer.gradcheck import grad_check
@@ -466,16 +467,28 @@ def test_adam_matches_plain_formula_over_five_steps(dtype):
 
 def test_adam_scratch_is_one_chunk(traced_memory):
     """The update's temporaries share one chunk-sized buffer; the plain
-    formula's m-hat, v-hat and quotient peaked at 4-5 chunks."""
+    formula's m-hat, v-hat and quotient peaked at 4-5 chunks. Conv weights are
+    chunked in their channel-last memory order too: a 3x3 one, and a 1x1 one
+    whose gradient differs from m and v in the strides of its size-1 axes."""
     n = 3 * T._CHUNK
     rng = np.random.default_rng(6)
-    p = Tensor(rng.standard_normal(n), requires_grad=True)
-    state = trainer.adam_init([p])
-    g = rng.standard_normal(n)
-    trainer.adam_step([p], [g], state, lr=1e-3)
+    params = [Tensor(rng.standard_normal(n), requires_grad=True)]
+    grads = [rng.standard_normal(n)]
+    for o, c, k in [(96, 256, 3), (768, 256, 1)]:
+        w = channel_last(rng.standard_normal((o, c, k, k)), np.float64)
+        params.append(Tensor(w, requires_grad=True))
+        grads.append(rng.standard_normal((o, k, k, c)).transpose(0, 3, 1, 2))  # as conv's GEMM
+    ref = [(np.array(p.data), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    state = trainer.adam_init(params)
+    trainer.adam_step(params, grads, state, lr=1e-3)
     with traced_memory() as mem:
-        trainer.adam_step([p], [g], state, lr=1e-3)
-    assert mem["peak"] < 1.5 * T._CHUNK * p.data.itemsize
+        trainer.adam_step(params, grads, state, lr=1e-3)
+    assert mem["peak"] < 1.5 * T._CHUNK * params[0].data.itemsize
+    for i, (p, g, (want, m, v)) in enumerate(zip(params, grads, ref)):
+        for step in (1, 2):
+            plain_adam(want, g, m, v, step, 1e-3)
+        assert np.array_equal(state["m"][i], m) and np.array_equal(state["v"][i], v)
+        _assert_adam_param_close(p.data, want, steps=2, lr_max=1e-3)
 
 
 def test_adam_updates_non_contiguous_param():

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from duoformer.ablate import SUITE_NAMES, suite_grid
 from duoformer.backbone import FeaturePyramid
 from duoformer.config import DuoFormerConfig, TrainConfig
+from duoformer.conv import _wmat
 from duoformer.errors import ConfigError, ContractError
+from duoformer.layers import Conv2d
 from duoformer.model import DuoFormer, count_parameters, load_checkpoint, save_checkpoint
 from duoformer.serialize import load_tensors
 from duoformer.tensor import DTYPES, Tensor, cross_entropy
@@ -288,6 +291,23 @@ def test_checkpoint_restores_running_stats(tmp_path):
     save_checkpoint(p, m)
     m2, _ = load_checkpoint(p)
     npt.assert_array_equal(m2.eval()(x).data, before)
+
+
+def test_loaded_and_f64_copied_models_keep_conv_weights_channel_last(tmp_path):
+    """A loaded checkpoint and an f64 copy (deepcopy, then to_dtype) keep each
+    conv weight's (kh, kw, C) memory, so the lowering's [O, K] matrix stays a view."""
+    m = _model()
+    p = tmp_path / "ckpt.dfc"
+    save_checkpoint(p, m)
+    loaded, _ = load_checkpoint(p)
+    f64 = copy.deepcopy(m).to_dtype(np.float64)
+    convs = [[mod.w.data for mod in model.modules() if isinstance(mod, Conv2d)]
+             for model in (m, loaded, f64)]
+    assert len(convs[0]) == 9 and {w.shape[2] for w in convs[0]} == {1, 3}  # the 1x1 fuse
+    for ws in convs:
+        assert all(np.shares_memory(_wmat(w), w) for w in ws)
+    for w, w_loaded, w64 in zip(*convs):
+        assert np.array_equal(w, w_loaded) and np.array_equal(w, w64)
 
 
 def test_checkpoint_without_config_rejected(tmp_path):

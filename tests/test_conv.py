@@ -68,16 +68,16 @@ def test_conv_matches_six_loop_oracle_at_any_row_count(o):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((o, 2, 3, 3))
+    ref = nhwc(oracles.conv2d_loops(x, w, stride=2))
+    dx = fd(lambda t: conv2d(t, Tensor(w), stride=2).sum(), nhwc(x))
+    dw = fd(lambda t: conv2d(Tensor(nhwc(x)), t, stride=2).sum(), w)
     for wdata in (w, channel_last(w, np.float64)):
         xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(wdata, requires_grad=True)
         out = conv2d(xt, wt, stride=2)
-        npt.assert_allclose(out.data, nhwc(oracles.conv2d_loops(x, w, stride=2)),
-                            atol=1e-12, rtol=0)
+        npt.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
         out.sum().backward()
-        fn_x = lambda t: conv2d(t, Tensor(w), stride=2).sum()
-        fn_w = lambda t: conv2d(Tensor(nhwc(x)), t, stride=2).sum()
-        npt.assert_allclose(xt.grad, fd(fn_x, nhwc(x)), atol=1e-6)
-        npt.assert_allclose(wt.grad, fd(fn_w, w), atol=1e-6)
+        npt.assert_allclose(xt.grad, dx, atol=1e-6)
+        npt.assert_allclose(wt.grad, dw, atol=1e-6)
 
 
 def test_conv_output_extent_formula():

@@ -56,9 +56,9 @@ def _log(msg: str) -> None:
 
 def _read_config(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read config {path}: {e}") from e
     return parse_config(text)
 

@@ -130,10 +130,3 @@ def split_dataset(labels: np.ndarray, val_fraction: float, test_fraction: float,
     return (np.sort(np.concatenate(train)), np.sort(np.concatenate(val)),
             np.sort(np.concatenate(test)))
 
-
-def block_average(images: np.ndarray, factor: int) -> np.ndarray:
-    """Average over factor x factor blocks (the downsampling that kills texture)."""
-    n, h, w, c = images.shape
-    if h % factor or w % factor:
-        raise ConfigError(f"extent {(h, w)} not divisible by {factor}")
-    return images.reshape(n, h // factor, factor, w // factor, factor, c).mean(axis=(2, 4))

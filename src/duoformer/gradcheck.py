@@ -1,7 +1,7 @@
 """Finite-difference verification of the backward pass.
 
-`grad_check` compares analytic gradients against central differences on f64
-parameters and returns the worst relative error,
+`grad_check_report` compares analytic gradients against central differences
+on f64 parameters and returns, per parameter, the worst relative error
 
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-6),
 
@@ -87,10 +87,3 @@ def grad_check_report(f, named_params: "dict[str, Tensor]", h: float = 1e-5,
         p.zero_grad()
     return report
 
-
-def grad_check(f, params, h: float = 1e-5, sample: "int | None" = None, rng=None) -> float:
-    """Max relative error over a list of parameters (see grad_check_report)."""
-    named = {f"p{i}": p for i, p in enumerate(params)}
-    report = grad_check_report(lambda d: f([d[f"p{i}"] for i in range(len(params))]),
-                               named, h=h, sample=sample, rng=rng)
-    return max(report.values()) if report else 0.0

@@ -129,16 +129,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def astype(self, dtype) -> "Tensor":
         """A copy in ``dtype``; its gradient reaches ``self`` cast back."""
         src = self.data.dtype
@@ -204,28 +194,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other, self)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise ContractError("division only supported by python scalars")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return index(self, idx)
 
@@ -235,17 +203,8 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 _grad_enabled = True
@@ -326,8 +285,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---- elementwise arithmetic ----------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "add")
     out_data = a.data + b.data
 

@@ -2,8 +2,8 @@
 epoch-level early stopping on validation balanced accuracy, best-checkpoint
 restore before the test evaluation.
 
-run.jsonl is appended one epoch at a time so an interrupted run still
-leaves a usable record.
+run.jsonl is written and flushed one epoch at a time, so an interrupted run
+still leaves a usable record; a later run into the same directory replaces it.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def train(model: DuoFormer, inputs: "np.ndarray | FeaturePyramid", labels: np.nd
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.txt"), "w") as f:
             f.write(serialize_config(model.cfg, cfg))
-        jsonl = open(os.path.join(out_dir, "run.jsonl"), "a")
+        jsonl = open(os.path.join(out_dir, "run.jsonl"), "w")
 
     try:
         global_step = 0

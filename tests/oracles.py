@@ -183,7 +183,7 @@ def attention_composed(T, x, wqkv, bqkv, wproj, bproj, heads):
     qkv = T.matmul(x.reshape((b, t, d)), wqkv, bias=bqkv)
     q, k, v = (qkv[:, :, i * d:(i + 1) * d].reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
                for i in range(3))
-    scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    scores = T.scale(T.matmul(q, k.transpose((0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
     out = T.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, t, d))
     return T.matmul(out, wproj, bias=bproj).reshape(tuple(lead) + (t, d)), attn.data

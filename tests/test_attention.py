@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from duoformer import tensor as T
 from duoformer.attention import MSA, DuoEncoder, DuoLayer, PatchEncoder
 from duoformer.errors import ConfigError, ContractError, DimensionError
 from duoformer.rng import SeedStream
@@ -168,7 +169,7 @@ def test_scale_block_grad_check():
     w = np.random.default_rng(9).standard_normal((1, 3, 2, 4))
 
     def loss(_params):
-        return (layer.scale_block(x) * Tensor(w)).sum()
+        return T.tensor_sum(T.mul(layer.scale_block(x), Tensor(w)))
 
     report = grad_check_report(loss, dict(layer.named_parameters()), sample=4)
     assert max(report.values()) < 1e-4
@@ -292,7 +293,7 @@ def test_one_layer_encoder_grad_check_through_the_row0_block(monkeypatch):
     enc = _encoder(layers=1, n=3, pos=True)
     x = Tensor(np.random.default_rng(20).standard_normal((1, 4, 3, 4)), requires_grad=True)
     w = Tensor(np.random.default_rng(21).standard_normal((1, 3, 4)))
-    report = grad_check_report(lambda _: (enc(x) * w).sum(),
+    report = grad_check_report(lambda _: T.tensor_sum(T.mul(enc(x), w)),
                                dict(enc.named_parameters(), x=x))
     assert max(report.values()) < 1e-4
     assert queries[:2] == [1, None]  # scale attention: row 0 only; patch attention: all patches

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from duoformer import tensor as T
 from duoformer.backbone import (FeaturePyramid, ToyBackbone, load_pyramid, save_pyramid,
                                 stage_extent)
 from duoformer.errors import ConfigError, ContractError, FormatError
@@ -165,7 +166,7 @@ def test_backbone_grad_check():
         pyr = bb(x)
         total = None
         for i, f in pyr.stages:
-            term = f.sum() * weights[i]
+            term = T.scale(T.tensor_sum(f), weights[i])
             total = term if total is None else total + term
         return total
 

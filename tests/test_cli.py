@@ -268,6 +268,19 @@ def test_hostile_images_header_exits_3(tmp_path, toy_cfg, dataset, command, caps
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tokenize", "train", "gradcheck", "export-pyramid"])
+def test_non_utf8_config_exits_3(tmp_path, command, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(TOY_CFG.encode() + b"# \xff\n")
+    rest = {"tokenize": ["--image", str(tmp_path / "img.dft"), "--out", str(tmp_path / "t.dft")],
+            "train": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "r")],
+            "gradcheck": [],
+            "export-pyramid": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "p.dfc")]}
+    assert cli.main([command, "--config", str(cfg)] + rest[command]) == 3
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "utf-8" in err
+
+
 def test_train_missing_data_exits_3(tmp_path, toy_cfg):
     assert cli.main(["train", "--config", toy_cfg,
                      "--data", str(tmp_path / "nope"),
@@ -498,7 +511,7 @@ def test_gradcheck_corrupted_backward_exits_nonzero(toy_cfg, monkeypatch, capsys
     def corrupted(x, *params):
         # identical forward value, input gradient detached -> analytic grad
         # loses the path through the FFN to everything upstream
-        return real(x.detach(), *params) + x * 0.0
+        return real(T.Tensor(x.data), *params) + T.scale(x, 0.0)
 
     monkeypatch.setattr(T, "ffn", corrupted)
     assert cli.main(["gradcheck", "--config", toy_cfg, "--samples", "2"]) == 1

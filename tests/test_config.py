@@ -270,7 +270,7 @@ def test_any_config_text_parses_or_is_a_config_error_and_accepted_models_run(bas
     images = T.Tensor(np.random.default_rng(0).standard_normal((2, size, size, 3))
                       .astype(np.float32))
     logits = model(images)  # train mode, graph recorded
-    assert logits.dtype == np.float32 and np.isfinite(logits.data).all(), text
+    assert logits.data.dtype == np.float32 and np.isfinite(logits.data).all(), text
     model.eval()
     with T.no_grad():
         assert np.isfinite(model(images).data).all(), text

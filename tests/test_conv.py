@@ -9,7 +9,7 @@ import oracles
 from duoformer import tensor as T
 from duoformer.conv import _wmat, batch_norm, channel_last, conv2d, conv_bn_relu, max_pool2d
 from duoformer.errors import ContractError, DimensionError, NumericError
-from duoformer.gradcheck import grad_check
+from duoformer.gradcheck import grad_check_report
 from duoformer.layers import BatchNorm2d, Conv2d, conv_bn_relu_unit
 from duoformer.rng import SeedStream
 from duoformer.tensor import Tensor
@@ -69,13 +69,13 @@ def test_conv_matches_six_loop_oracle_at_any_row_count(o):
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((o, 2, 3, 3))
     ref = nhwc(oracles.conv2d_loops(x, w, stride=2))
-    dx = fd(lambda t: conv2d(t, Tensor(w), stride=2).sum(), nhwc(x))
-    dw = fd(lambda t: conv2d(Tensor(nhwc(x)), t, stride=2).sum(), w)
+    dx = fd(lambda t: T.tensor_sum(conv2d(t, Tensor(w), stride=2)), nhwc(x))
+    dw = fd(lambda t: T.tensor_sum(conv2d(Tensor(nhwc(x)), t, stride=2)), w)
     for wdata in (w, channel_last(w, np.float64)):
         xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(wdata, requires_grad=True)
         out = conv2d(xt, wt, stride=2)
         npt.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
-        out.sum().backward()
+        T.tensor_sum(out).backward()
         npt.assert_allclose(xt.grad, dx, atol=1e-6)
         npt.assert_allclose(wt.grad, dw, atol=1e-6)
 
@@ -103,8 +103,8 @@ def test_conv_grads_match_finite_diff(k=3, padding=1):
     w0 = rng.standard_normal((3, 2, k, k))
     xt, wt = Tensor(x0), Tensor(w0)
 
-    fn_x = lambda t: conv2d(t, wt, stride=2, padding=padding).sum()
-    fn_w = lambda t: conv2d(xt, t, stride=2, padding=padding).sum()
+    fn_x = lambda t: T.tensor_sum(conv2d(t, wt, stride=2, padding=padding))
+    fn_w = lambda t: T.tensor_sum(conv2d(xt, t, stride=2, padding=padding))
     for fn, v0 in [(fn_x, x0), (fn_w, w0)]:
         npt.assert_allclose(ag(fn, v0), fd(fn, v0), atol=1e-6)
 
@@ -119,7 +119,7 @@ def test_conv_grad_weighted_output():
     x0 = nhwc(rng.standard_normal((1, 2, 6, 6)))
     w = Tensor(rng.standard_normal((2, 2, 3, 3)))
     g = Tensor(nhwc(rng.standard_normal((1, 2, 3, 3))))
-    fn = lambda t: (conv2d(t, w, stride=2, padding=1) * g).sum()
+    fn = lambda t: T.tensor_sum(T.mul(conv2d(t, w, stride=2, padding=1), g))
     npt.assert_allclose(ag(fn, x0), fd(fn, x0), atol=1e-6)
 
 
@@ -157,7 +157,7 @@ def test_pool_indivisible_extent():
 
 def test_pool_tie_routes_to_first_occurrence():
     x = Tensor(np.full((1, 2, 2, 1), 5.0), requires_grad=True)
-    max_pool2d(x, k=2).sum().backward()
+    T.tensor_sum(max_pool2d(x, k=2)).backward()
     npt.assert_array_equal(x.grad, [[[[1.0], [0.0]], [[0.0], [0.0]]]])
 
 
@@ -165,7 +165,7 @@ def test_pool_grad_matches_finite_diff():
     rng = np.random.default_rng(5)
     x0 = rng.permutation(64).astype(np.float64).reshape(1, 8, 8, 1)  # distinct values
     g = Tensor(rng.standard_normal((1, 4, 4, 1)))
-    fn = lambda t: (max_pool2d(t, k=2) * g).sum()
+    fn = lambda t: T.tensor_sum(T.mul(max_pool2d(t, k=2), g))
     npt.assert_allclose(ag(fn, x0), fd(fn, x0), atol=1e-6)
 
 
@@ -258,7 +258,8 @@ def test_bn_train_grads_match_finite_diff():
             vals = [Tensor(x0), Tensor(g0), Tensor(b0)]
             vals[pick] = p
             rm, rv = _bn_state(2)
-            return (batch_norm(vals[0], vals[1], vals[2], rm, rv, mode="train") * gw).sum()
+            out = batch_norm(vals[0], vals[1], vals[2], rm, rv, mode="train")
+            return T.tensor_sum(T.mul(out, gw))
         return fn
 
     for pick, v0 in [(0, x0), (1, g0), (2, b0)]:
@@ -272,7 +273,7 @@ def test_bn_eval_grad_matches_finite_diff():
     rm = rng.standard_normal(2)
     rv = rng.random(2) + 0.5
     gamma, beta = Tensor(np.full(2, 1.3)), Tensor(np.full(2, -0.2))
-    fn = lambda t: batch_norm(t, gamma, beta, rm, rv, mode="eval").sum()
+    fn = lambda t: T.tensor_sum(batch_norm(t, gamma, beta, rm, rv, mode="eval"))
     npt.assert_allclose(ag(fn, x0), fd(fn, x0), atol=1e-6)
 
 
@@ -301,7 +302,7 @@ def _run(op, arrays, stride, padding, mode, grad=True):
     out = op(x, w, gamma, beta, rm, rv, stride, padding, mode)
     if grad:
         g = np.random.default_rng(14).standard_normal(out.shape).astype(out.data.dtype)
-        (out * Tensor(g)).sum().backward()
+        T.tensor_sum(T.mul(out, Tensor(g))).backward()
     return [out.data, rm, rv] + [t.grad for t in (x, w, gamma, beta) if grad]
 
 
@@ -334,13 +335,14 @@ def test_conv_bn_relu_matches_composed_ops(mode, k, stride, padding, o):
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_conv_bn_relu_gradcheck_f64(mode, o):
     x, w, gamma, beta, rm, rv = _unit(o, 3, shape=(2, 5, 5, 3), seed=15)
-    params = [Tensor(a, requires_grad=True) for a in (x, w, gamma, beta)]
+    params = {name: Tensor(a, requires_grad=True)
+              for name, a in zip(("x", "w", "gamma", "beta"), (x, w, gamma, beta))}
     g = Tensor(np.random.default_rng(16).standard_normal((2, 3, 3, o)))
 
     def f(ps):
-        return (conv_bn_relu(*ps, rm.copy(), rv.copy(), 2, 1, mode) * g).sum()
+        return T.tensor_sum(T.mul(conv_bn_relu(*ps.values(), rm.copy(), rv.copy(), 2, 1, mode), g))
 
-    assert grad_check(f, params) < 1e-4
+    assert max(grad_check_report(f, params).values()) < 1e-4
 
 
 @pytest.mark.parametrize("o", WIDTHS, ids=["K-hwc", "K-chw"])
@@ -408,5 +410,5 @@ def test_conv_weight_gradient_is_kept_without_a_copy(monkeypatch, dtype, fused, 
     x = Tensor(np.random.default_rng(18).standard_normal((3, 8, 8, 5)).astype(dtype))
     out = (conv_bn_relu_unit(conv, bn, x) if fused
            else conv2d(x, conv.w, stride=conv.stride, padding=conv.padding))
-    (out * out).sum().backward()
+    T.tensor_sum(T.mul(out, out)).backward()
     assert kept == [True]

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from duoformer.data import (block_average, class_names, gen_synthetic, load_dataset,
-                            make_synthetic, split_dataset)
+from duoformer.data import (class_names, gen_synthetic, load_dataset, make_synthetic,
+                            split_dataset)
 from duoformer.errors import ConfigError, FormatError
 from duoformer.serialize import save_tensor
 
@@ -85,6 +85,14 @@ def _nearest_centroid_accuracy(feats, labels):
     d = ((feats[test][:, None, :] - centroids[None]) ** 2).sum(axis=2)
     preds = classes[np.argmin(d, axis=1)]
     return float((preds == labels[test]).mean())
+
+
+def block_average(images: np.ndarray, factor: int) -> np.ndarray:
+    """Average over factor x factor blocks (the downsampling that kills texture)."""
+    n, h, w, c = images.shape
+    if h % factor or w % factor:
+        raise ConfigError(f"extent {(h, w)} not divisible by {factor}")
+    return images.reshape(n, h // factor, factor, w // factor, factor, c).mean(axis=(2, 4))
 
 
 def _row_energy(images):

@@ -15,7 +15,7 @@ import pytest
 from duoformer import tensor as T
 from duoformer.config import DuoFormerConfig
 from duoformer.errors import DimensionError
-from duoformer.gradcheck import grad_check
+from duoformer.gradcheck import grad_check_report
 from duoformer.model import DuoFormer
 from duoformer.tensor import Tensor
 from oracles import attention_composed, ffn_composed
@@ -92,6 +92,11 @@ def _params(rng, dtype, *dims):
     return out
 
 
+def _named(tensors):
+    """`grad_check_report`'s parameter dict over `tensors`, in order."""
+    return {f"p{i}": t for i, t in enumerate(tensors)}
+
+
 def _attention_params(rng, dtype, d):
     wqkv, bqkv = _params(rng, dtype, d, 3 * d)
     wproj, bproj = _params(rng, dtype, d, d)
@@ -104,9 +109,9 @@ def _run(op, x, params, g, extra=None):
     attn = None
     if isinstance(out, tuple):
         out, attn = out
-    loss = (out * Tensor(g)).sum()
+    loss = T.tensor_sum(T.mul(out, Tensor(g)))
     if extra is not None:
-        loss = loss + (x * Tensor(extra)).sum()
+        loss = loss + T.tensor_sum(T.mul(x, Tensor(extra)))
     loss.backward()
     return out.data, attn, [x.grad] + [p.grad for p in params]
 
@@ -200,7 +205,7 @@ def test_constant_input_gets_no_gradient():
     x = Tensor(rng.standard_normal((2, 3, 8)))
     params = _attention_params(rng, np.float64, 8)
     out, _ = T.attention(x, *params, 2)
-    T.ffn(out, *_ffn_params(rng, np.float64, 8)).sum().backward()
+    T.tensor_sum(T.ffn(out, *_ffn_params(rng, np.float64, 8))).backward()
     assert x.grad is None and all(p.grad is not None for p in params)
 
 
@@ -251,9 +256,10 @@ def test_attention_gradcheck_f64():
     g = Tensor(rng.standard_normal((2, 3, 4, 6)))
 
     def f(ps):  # the op sees the transposed scale-block layout
-        return (T.attention(ps[0].transpose((0, 2, 1, 3)), *ps[1:], 3)[0] * g).sum()
+        x, *params = ps.values()
+        return T.tensor_sum(T.mul(T.attention(x.transpose((0, 2, 1, 3)), *params, 3)[0], g))
 
-    assert grad_check(f, [x] + params) < 1e-4
+    assert max(grad_check_report(f, _named([x] + params)).values()) < 1e-4
 
 
 @pytest.mark.parametrize("shape,layout", LAYOUTS[:2])
@@ -265,9 +271,10 @@ def test_attention_with_queries_gradcheck_f64(shape, layout):
     g = Tensor(rng.standard_normal(shape[:-2] + (2, 8)))
 
     def f(ps):
-        return (T.attention(ps[0], *ps[1:], 2, 2)[0] * g).sum()
+        x, *params = ps.values()
+        return T.tensor_sum(T.mul(T.attention(x, *params, 2, 2)[0], g))
 
-    assert grad_check(f, [x] + params) < 1e-4
+    assert max(grad_check_report(f, _named([x] + params)).values()) < 1e-4
 
 
 def test_ffn_gradcheck_f64():
@@ -277,9 +284,10 @@ def test_ffn_gradcheck_f64():
     g = Tensor(rng.standard_normal((2, 3, 4, 5)))
 
     def f(ps):
-        return (T.ffn(ps[0].transpose((0, 2, 1, 3)), *ps[1:]) * g).sum()
+        x, *params = ps.values()
+        return T.tensor_sum(T.mul(T.ffn(x.transpose((0, 2, 1, 3)), *params), g))
 
-    assert grad_check(f, [x] + params) < 1e-4
+    assert max(grad_check_report(f, _named([x] + params)).values()) < 1e-4
 
 
 @pytest.mark.parametrize("fused,make_params", [(_fused_attention(4), _attention_params),
@@ -439,7 +447,7 @@ def test_ffn_backward_peak_is_one_fc1_output_buffer_plus_chunk_scratch(traced_me
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((2, rows // 2, d)).astype(np.float32), requires_grad=True)
     params = _params(rng, np.float32, d, hidden, d)
-    loss = T.ffn(x, *params).sum()
+    loss = T.tensor_sum(T.ffn(x, *params))
     fc1_bytes = rows * hidden * 4
     with traced_memory() as mem:
         loss.backward()

@@ -21,7 +21,7 @@ from duoformer.config import DuoFormerConfig, TrainConfig
 from duoformer.conv import channel_last
 from duoformer.data import make_synthetic
 from duoformer.errors import ContractError, DimensionError
-from duoformer.gradcheck import grad_check
+from duoformer.gradcheck import grad_check_report
 from duoformer.model import DuoFormer
 from duoformer.tensor import Tensor
 from oracles import layer_norm_plain, matmul_loops, plain_adam
@@ -76,7 +76,7 @@ def test_matmul_bias_matches_plain_formula(dtype, shape, transposed):
     g0 = rng.standard_normal(x0.shape[:-1] + (n,)).astype(dtype)
     x, w, b = (Tensor(v, requires_grad=True) for v in (x0, w0, b0))
     out = T.matmul(x, w, bias=b)
-    (out * Tensor(g0)).sum().backward()
+    T.tensor_sum(T.mul(out, Tensor(g0))).backward()
     want = _plain_linear(x0, w0, b0, g0)
     for name, got, ref in zip(("out", "gx", "gw", "gb"), (out.data, x.grad, w.grad, b.grad), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
@@ -90,10 +90,10 @@ def test_matmul_bias_gradcheck_4d():
     b = Tensor(rng.standard_normal(6), requires_grad=True)
 
     def f(ps):
-        y = T.matmul(ps[0], ps[1], bias=ps[2])
-        return (y * y).sum()
+        y = T.matmul(ps["x"], ps["w"], bias=ps["b"])
+        return T.tensor_sum(T.mul(y, y))
 
-    assert grad_check(f, [x, w, b]) < 1e-4
+    assert max(grad_check_report(f, {"x": x, "w": w, "b": b}).values()) < 1e-4
 
 
 def test_matmul_rejects_bias_that_grows_the_output():
@@ -127,7 +127,8 @@ def test_weight_grad_under_batched_input_f32_agrees_with_f64():
     mag = np.matmul(np.swapaxes(np.abs(x64), -1, -2), np.abs(g64)).sum(axis=(0, 1))
     for dtype, bound in ((np.float32, 4 * np.finfo(np.float32).eps), (np.float64, 1e-12)):
         w = Tensor(w0.astype(dtype), requires_grad=True)
-        (T.matmul(Tensor(x0.astype(dtype)), w) * Tensor(g0.astype(dtype))).sum().backward()
+        out = T.matmul(Tensor(x0.astype(dtype)), w)
+        T.tensor_sum(T.mul(out, Tensor(g0.astype(dtype)))).backward()
         assert w.grad.dtype == dtype
         assert (np.abs(w.grad - want) / mag).max() <= bound
 
@@ -150,7 +151,7 @@ def test_non_contiguous_batched_input_matches_its_contiguous_copy(dtype, view):
         x = Tensor(xv, requires_grad=True)
         ps = [Tensor(p, requires_grad=True) for p in params]
         out = op(x, ps)
-        (out * Tensor(g0[..., :out.shape[-1]])).sum().backward()
+        T.tensor_sum(T.mul(out, Tensor(g0[..., :out.shape[-1]]))).backward()
         return [out.data, x.grad] + [p.grad for p in ps if p.grad is not None]
 
     for op in (lambda x, ps: T.matmul(x, ps[0], bias=ps[1]), lambda x, ps: T.ffn(x, *ps)):
@@ -171,7 +172,7 @@ def test_batched_rhs_takes_the_stacked_path(monkeypatch, a_shape, b_shape):
     monkeypatch.setattr(np, "matmul", lambda p, q: stacked.append(q.ndim) or real(p, q))
     a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
     out = T.matmul(a, b)
-    out.sum().backward()
+    T.tensor_sum(out).backward()
     monkeypatch.undo()
     assert stacked and all(n > 2 for n in stacked)
     lead = out.shape[:-2]
@@ -201,7 +202,7 @@ def test_gelu_matches_plain_formula(dtype, shape):
     g0 = rng.standard_normal(shape).astype(dtype)
     x = Tensor(x0, requires_grad=True)
     out = T.gelu(x)
-    (out * Tensor(g0)).sum().backward()
+    T.tensor_sum(T.mul(out, Tensor(g0))).backward()
     want_out, want_grad = _plain_gelu(x0, g0)
     assert out.data.dtype == x.grad.dtype == dtype
     assert np.array_equal(out.data, want_out)
@@ -219,7 +220,7 @@ def test_softmax_matches_plain_formula(dtype, axis):
     g0 = rng.standard_normal((3, 4, 5)).astype(dtype)
     x = Tensor(x0, requires_grad=True)
     out = T.softmax(x, axis=axis)
-    (out * Tensor(g0)).sum().backward()
+    T.tensor_sum(T.mul(out, Tensor(g0))).backward()
     e = np.exp(x0 - x0.max(axis=axis, keepdims=True))
     y = e / e.sum(axis=axis, keepdims=True)
     assert np.array_equal(out.data, y)
@@ -249,7 +250,7 @@ def _ln_run(x, gamma, beta, g, dtype):
     """(out, dx, dgamma, dbeta) of tensor.layer_norm in ``dtype``; x keeps its layout."""
     xt, gt, bt = (Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta))
     out = T.layer_norm(xt, gt, bt)
-    (out * Tensor(g.astype(dtype))).sum().backward()
+    T.tensor_sum(T.mul(out, Tensor(g.astype(dtype)))).backward()
     return out.data, xt.grad, gt.grad, bt.grad
 
 
@@ -276,8 +277,11 @@ def test_layer_norm_f32_agrees_with_f64(shape, layout):
 
 def test_layer_norm_gradcheck_f64():
     x, gamma, beta, w = _ln_inputs((2, 3, 4, 16), "scale_block", np.random.default_rng(32))
-    params = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
-    assert grad_check(lambda ps: (T.layer_norm(*ps) * Tensor(w)).sum(), params) < 1e-4
+    params = {name: Tensor(a.copy(), requires_grad=True)
+              for name, a in zip(("x", "gamma", "beta"), (x, gamma, beta))}
+    report = grad_check_report(lambda ps: T.tensor_sum(T.mul(T.layer_norm(*ps.values()), Tensor(w))),
+                               params)
+    assert max(report.values()) < 1e-4
 
 
 # ---- index ----------------------------------------------------------------------------
@@ -292,7 +296,8 @@ def test_index_grad_matches_zero_buffer_formula(dtype, idx):
     out = x[idx]
     g0 = rng.standard_normal(out.shape).astype(dtype)
     # a second consumer, so the grad already exists when the slice lands
-    ((out * Tensor(g0)).sum() + (x * Tensor(np.ones_like(x0))).sum()).backward()
+    loss = T.tensor_sum(T.mul(out, Tensor(g0))) + T.tensor_sum(T.mul(x, Tensor(np.ones_like(x0))))
+    loss.backward()
     buf = np.zeros_like(x0)
     buf[idx] += g0
     assert np.array_equal(out.data, x0[idx])
@@ -301,13 +306,13 @@ def test_index_grad_matches_zero_buffer_formula(dtype, idx):
 
 def test_index_repeated_fancy_indices_accumulate():
     x = Tensor(np.arange(5.0), requires_grad=True)
-    x[[0, 0, 1]].sum().backward()
+    T.tensor_sum(x[[0, 0, 1]]).backward()
     npt.assert_array_equal(x.grad, [2.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_index_repeated_rows_2d():
     x = Tensor(np.zeros((3, 2)), requires_grad=True)
-    (x[np.array([2, 0, 2, 2])] * Tensor(np.ones((4, 2)))).sum().backward()
+    T.tensor_sum(T.mul(x[np.array([2, 0, 2, 2])], Tensor(np.ones((4, 2))))).backward()
     npt.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
 
 
@@ -359,7 +364,7 @@ def test_view_of_a_leaf_hands_its_gradient_over(traced_memory):
 
 
 def _weighted_sum(y: Tensor, w: np.ndarray) -> Tensor:
-    return T.mul(y, Tensor(w)).sum()
+    return T.tensor_sum(T.mul(y, Tensor(w)))
 
 
 def test_add_gives_each_operand_its_own_gradient():

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from duoformer import tensor as T
 from duoformer.ablate import SUITE_NAMES, suite_grid
 from duoformer.backbone import FeaturePyramid
 from duoformer.config import DuoFormerConfig, TrainConfig
@@ -189,7 +190,7 @@ def test_gradient_reaches_an_input_of_another_dtype(kind, model_dtype, input_dty
         else:
             leaves = [Tensor(f.astype(dtype), requires_grad=True) for _, f in stages]
             x = FeaturePyramid([(i, t) for (i, _), t in zip(stages, leaves)], input_size=32)
-        DuoFormer(_cfg(dtype=model_dtype))(x).sum().backward()
+        T.tensor_sum(DuoFormer(_cfg(dtype=model_dtype))(x)).backward()
         grads.append([t.grad for t in leaves])
     assert all(_bitwise_equal(a, b.astype(a.dtype)) for a, b in zip(*grads))
 
@@ -203,7 +204,7 @@ def test_f32_parameters_are_the_f64_ones_rounded(suite):
         for name, p in built["f32"].named_parameters():
             assert _bitwise_equal(p.data, f64[name].data.astype(np.float32)), name
         for d, m in built.items():
-            assert all(p.dtype == DTYPES[d] for p in m.parameters())
+            assert all(p.data.dtype == DTYPES[d] for p in m.parameters())
             stats = dict(m.named_state())
             assert stats and all(name.rsplit(".", 1)[1] in ("running_mean", "running_var")
                                  and arr.dtype == np.float64 for name, arr in stats.items())
@@ -221,7 +222,7 @@ def test_backbone_is_cast_before_the_encoder_is_built(monkeypatch):
         return backbones[-1]
 
     def encoder(*args, **kwargs):
-        seen.append({p.dtype for p in backbones[-1].parameters()})
+        seen.append({p.data.dtype for p in backbones[-1].parameters()})
         return make_encoder(*args, **kwargs)
 
     monkeypatch.setattr(model_mod, "ToyBackbone", backbone)

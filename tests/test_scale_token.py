@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from duoformer import tensor as T
 from duoformer.backbone import FeaturePyramid
 from duoformer.errors import ConfigError, ContractError
 from duoformer.rng import SeedStream
@@ -123,7 +124,7 @@ def test_gradient_reaches_every_stage():
     pyr = _pyramid(224, stages, seed=4)
     for _, feat in pyr.stages:
         feat.requires_grad = True
-    st(pyr).sum().backward()
+    T.tensor_sum(st(pyr)).backward()
     for i, feat in pyr.stages:
         assert feat.grad is not None and np.abs(feat.grad).sum() > 0, f"stage {i}"
 
@@ -147,7 +148,7 @@ def test_learnable_token_follows_pyramid_batch():
 
 def test_learnable_token_gradient_accumulates_over_batch():
     lt = LearnableScaleToken(4, 2, SeedStream(0).child("lt"))
-    lt(_pyramid(224, (3,), batch=3)).sum().backward()
+    T.tensor_sum(lt(_pyramid(224, (3,), batch=3))).backward()
     npt.assert_allclose(lt.token.grad, np.full((4, 2), 3.0), atol=1e-12)
 
 

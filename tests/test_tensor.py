@@ -54,7 +54,7 @@ def test_matmul_grad_matches_finite_diff():
     rng = np.random.default_rng(1)
     a0 = rng.standard_normal((3, 4))
     b = Tensor(rng.standard_normal((4, 2)))
-    fn = lambda x: T.matmul(x, b).sum()
+    fn = lambda x: T.tensor_sum(T.matmul(x, b))
     npt.assert_allclose(autograd_grad(fn, a0), fd_grad(fn, a0), atol=1e-6)
 
 
@@ -62,10 +62,10 @@ def test_matmul_batched_broadcast_grad():
     rng = np.random.default_rng(2)
     a = Tensor(rng.standard_normal((5, 3, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    T.matmul(a, b).sum().backward()
+    T.tensor_sum(T.matmul(a, b)).backward()
     assert a.grad.shape == a.shape and b.grad.shape == b.shape
     b0 = b.data.copy()
-    fn = lambda x: T.matmul(a.detach(), x).sum()
+    fn = lambda x: T.tensor_sum(T.matmul(Tensor(a.data), x))
     npt.assert_allclose(b.grad, fd_grad(fn, b0), atol=1e-6)
 
 
@@ -120,7 +120,7 @@ def test_softmax_grad_matches_finite_diff():
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal((3, 5))
     w = rng.standard_normal((3, 5))
-    fn = lambda x: (T.softmax(x, axis=-1) * Tensor(w)).sum()
+    fn = lambda x: T.tensor_sum(T.mul(T.softmax(x, axis=-1), Tensor(w)))
     npt.assert_allclose(autograd_grad(fn, x0), fd_grad(fn, x0), atol=1e-6)
 
 
@@ -179,7 +179,7 @@ def test_layer_norm_grad_all_three_inputs():
         def fn(p, pick=pick):
             args = [Tensor(v) for v in vals]
             args[pick] = p
-            return (T.layer_norm(*args) * Tensor(w)).sum()
+            return T.tensor_sum(T.mul(T.layer_norm(*args), Tensor(w)))
 
         npt.assert_allclose(autograd_grad(fn, vals[pick]), fd_grad(fn, vals[pick]), atol=1e-6)
 
@@ -189,26 +189,26 @@ def test_layer_norm_grad_all_three_inputs():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    x.sum().backward()
+    T.tensor_sum(x).backward()
     npt.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    (x * x).sum().backward()
+    T.tensor_sum(T.mul(x, x)).backward()
     npt.assert_allclose(x.grad, [2.0, 4.0, 6.0], atol=1e-12)
 
 
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    x.sum().backward()
-    x.sum().backward()
+    T.tensor_sum(x).backward()
+    T.tensor_sum(x).backward()
     npt.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 def test_second_backward_through_a_consumed_graph_raises():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = T.tensor_sum(T.mul(x, x))
     loss.backward()
     with pytest.raises(ContractError, match="run the forward again"):
         loss.backward()
@@ -218,31 +218,31 @@ def test_second_backward_through_a_consumed_graph_raises():
 def test_loss_sharing_a_consumed_subgraph_raises_before_any_gradient_moves():
     x = Tensor([1.0, 2.0], requires_grad=True)
     w = Tensor([3.0, 5.0], requires_grad=True)
-    y = x * x
-    y.sum().backward()
+    y = T.mul(x, x)
+    T.tensor_sum(y).backward()
     with pytest.raises(ContractError, match="run the forward again"):
-        ((y * w).sum() + w.sum()).backward()
+        (T.tensor_sum(T.mul(y, w)) + T.tensor_sum(w)).backward()
     npt.assert_array_equal(x.grad, [2.0, 4.0])
     assert w.grad is None
 
 
 def test_backward_accumulates_on_reuse():
     x = Tensor([3.0], requires_grad=True)
-    y = (x * x) + (x * 2.0)  # dy/dx = 2x + 2 = 8
-    y.sum().backward()
+    y = T.mul(x, x) + T.scale(x, 2.0)  # dy/dx = 2x + 2 = 8
+    T.tensor_sum(y).backward()
     npt.assert_allclose(x.grad, [8.0], atol=1e-12)
 
 
 def test_backward_rejects_nonscalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError):
-        (x * x).backward()
+        T.mul(x, x).backward()
 
 
 def test_broadcast_add_grad_sums():
     a = Tensor(np.zeros((3, 4)), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
-    (a + b).sum().backward()
+    T.tensor_sum(a + b).backward()
     npt.assert_array_equal(a.grad, np.ones((3, 4)))
     npt.assert_array_equal(b.grad, 3 * np.ones(4))
 
@@ -273,7 +273,7 @@ def test_transpose_inverse_identity(x, perm):
 
 def test_reshape_grad():
     x0 = np.arange(6.0)
-    fn = lambda x: (x.reshape(2, 3) * Tensor(np.arange(6.0).reshape(2, 3))).sum()
+    fn = lambda x: T.tensor_sum(T.mul(x.reshape(2, 3), Tensor(np.arange(6.0).reshape(2, 3))))
     npt.assert_allclose(autograd_grad(fn, x0), np.arange(6.0), atol=1e-12)
 
 
@@ -281,7 +281,7 @@ def test_transpose_grad_matches_finite_diff():
     rng = np.random.default_rng(8)
     x0 = rng.standard_normal((2, 3, 4))
     w = Tensor(rng.standard_normal((4, 2, 3)))
-    fn = lambda x: (x.transpose((2, 0, 1)) * w).sum()
+    fn = lambda x: T.tensor_sum(T.mul(x.transpose((2, 0, 1)), w))
     npt.assert_allclose(autograd_grad(fn, x0), fd_grad(fn, x0), atol=1e-6)
 
 
@@ -292,7 +292,7 @@ def test_concat_forward_and_grad():
     assert out.shape == (2, 5)
     npt.assert_array_equal(out.data[:, :2], 1.0)
     npt.assert_array_equal(out.data[:, 2:], 2.0)
-    (out * Tensor(np.arange(10.0).reshape(2, 5))).sum().backward()
+    T.tensor_sum(T.mul(out, Tensor(np.arange(10.0).reshape(2, 5)))).backward()
     npt.assert_array_equal(a.grad, [[0, 1], [5, 6]])
     npt.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
 
@@ -301,7 +301,7 @@ def test_index_slice_forward_and_grad():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     out = x[1:, ::2]
     npt.assert_array_equal(out.data, [[4, 6], [8, 10]])
-    out.sum().backward()
+    T.tensor_sum(out).backward()
     expect = np.zeros((3, 4))
     expect[1:, ::2] = 1
     npt.assert_array_equal(x.grad, expect)
@@ -309,7 +309,7 @@ def test_index_slice_forward_and_grad():
 
 def test_broadcast_to_grad():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    T.broadcast_to(x, (3, 2)).sum().backward()
+    T.tensor_sum(T.broadcast_to(x, (3, 2))).backward()
     npt.assert_array_equal(x.grad, [3.0, 3.0])
 
 
@@ -328,15 +328,15 @@ def test_mean_axis_grad_matches_finite_diff():
     rng = np.random.default_rng(9)
     x0 = rng.standard_normal((3, 4))
     w = Tensor(rng.standard_normal(4))
-    fn = lambda x: (x.mean(axis=0) * w).sum()
+    fn = lambda x: T.tensor_sum(T.mul(x.mean(axis=0), w))
     npt.assert_allclose(autograd_grad(fn, x0), fd_grad(fn, x0), atol=1e-6)
 
 
 def test_sum_axis_keepdims():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    out = x.sum(axis=1, keepdims=True)
+    out = T.tensor_sum(x, axis=1, keepdims=True)
     assert out.shape == (2, 1)
-    out.sum().backward()
+    T.tensor_sum(out).backward()
     npt.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -350,14 +350,14 @@ def test_relu_values():
 
 def test_relu_grad_gate():
     x = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
-    T.relu(x).sum().backward()
+    T.tensor_sum(T.relu(x)).backward()
     npt.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
 
 
 def test_relu_grad_matches_finite_diff():
     rng = np.random.default_rng(10)
     x0 = rng.standard_normal(20) + 0.05  # keep away from the kink
-    fn = lambda x: T.relu(x).sum()
+    fn = lambda x: T.tensor_sum(T.relu(x))
     npt.assert_allclose(autograd_grad(fn, x0), fd_grad(fn, x0), atol=1e-6)
 
 
@@ -372,7 +372,7 @@ def test_gelu_fixed_points():
 def test_gelu_grad_matches_finite_diff():
     rng = np.random.default_rng(11)
     x0 = rng.standard_normal(20)
-    fn = lambda x: T.gelu(x).sum()
+    fn = lambda x: T.tensor_sum(T.gelu(x))
     npt.assert_allclose(autograd_grad(fn, x0), fd_grad(fn, x0), atol=1e-6)
 
 
@@ -396,7 +396,7 @@ def test_linear_grad_matches_finite_diff():
     x = Tensor(rng.standard_normal((3, 4)))
     w0 = rng.standard_normal((4, 2))
     b = Tensor(rng.standard_normal(2))
-    fn = lambda w: T.matmul(x, w, bias=b).sum()
+    fn = lambda w: T.tensor_sum(T.matmul(x, w, bias=b))
     npt.assert_allclose(autograd_grad(fn, w0), fd_grad(fn, w0), atol=1e-6)
 
 
@@ -442,5 +442,5 @@ def test_cross_entropy_grad_matches_finite_diff():
 
 def test_grad_shape_matches_data_shape():
     x = Tensor(np.zeros((2, 5)), requires_grad=True)
-    (x * x).sum().backward()
+    T.tensor_sum(T.mul(x, x)).backward()
     assert x.grad.shape == x.data.shape and x.grad.dtype == x.data.dtype

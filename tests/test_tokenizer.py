@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duoformer import tensor as T
 from duoformer.errors import ConfigError
 from duoformer.layers import Linear
 from duoformer.rng import SeedStream
@@ -213,5 +214,5 @@ def test_tokenize_single_stage():
 def test_tokenize_gradient_flows_back():
     feat = Tensor(np.random.default_rng(0).random((1, 8, 8, 2)), requires_grad=True)
     toks = tokenize([(0, feat)], 4, 32)
-    toks.tokens.sum().backward()
+    T.tensor_sum(toks.tokens).backward()
     npt.assert_array_equal(feat.grad, np.ones_like(feat.data))

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -61,7 +62,7 @@ def test_five_step_quadratic_matches_scalar_oracle():
     got = []
     for _ in range(5):
         p.zero_grad()
-        (p * p).backward()
+        T.mul(p, p).backward()
         adam_step([p], [p.grad], state, lr=0.1)
         got.append(float(p.data))
     want = adam_scalar(1.0, lambda th: 2.0 * th, lr=0.1, steps=5)
@@ -309,6 +310,16 @@ def test_train_writes_epoch_records(tmp_path):
     assert len(lines) == len(rec.epochs) == 2
     for line in lines:
         assert set(line) == {"epoch", "train_loss", "val_balanced_acc", "lr", "seconds"}
+
+
+def test_second_run_into_a_directory_replaces_its_epoch_records(tmp_path):
+    images, labels = _toy_data(18)
+    out = tmp_path / "run"
+    for seed in (0, 1):
+        cfg = TrainConfig(batch_size=6, max_epochs=2, patience=2, max_lr=1e-3, seed=seed)
+        rec = train(_toy(seed=seed), images, labels, cfg, out_dir=str(out))
+    lines = [json.loads(s) for s in (out / "run.jsonl").read_text().splitlines()]
+    assert lines == [asdict(e) for e in rec.epochs]
 
 
 def test_train_fills_test_metrics():

@@ -21,6 +21,8 @@ from duoformer import ablate, cli
 from duoformer.data import load_dataset
 from duoformer.serialize import save_tensor
 
+SRC = duoformer.__path__[0]
+
 # Public names the driver may not call, each with why it stays in src/.
 COMPOSED = ("kept as the composed form of a fused op: the fused-op tests compare "
             "against it, and perfbench/tracing.py binds it by name")
@@ -61,13 +63,9 @@ def _public(name: str) -> bool:
 
 
 def _code(fn):
-    """The code object of a function defined in src/duoformer, else None."""
-    fn = inspect.unwrap(fn)
-    code = getattr(fn, "__code__", None)
+    """The code object of a function written in the package, else None."""
+    code = getattr(inspect.unwrap(fn), "__code__", None)
     return code if code is not None and code.co_filename.startswith(SRC) else None
-
-
-SRC = duoformer.__path__[0]
 
 
 def public_functions() -> "dict[str, object]":
